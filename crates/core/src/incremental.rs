@@ -7,9 +7,12 @@
 //! comparisons on old-vs-old pairs that previous cycles already decided.
 //!
 //! [`IncrementalMergePurge`] keeps, per pass, the sorted key order of the
-//! records seen so far. A new batch is key-extracted, sorted, and *merged*
-//! into each pass's order (O(N + B log B) instead of a full resort), and
-//! the window scan evaluates only pairs with at least one new member.
+//! records seen so far. A new batch of B records is key-extracted, sorted,
+//! and *spliced* into each pass's order of N records by binary search, and
+//! the window scan visits only the positions within a window of a new
+//! record. Per pass that costs O(B log B + B log N) key comparisons,
+//! O(B·w) window positions, and one O(N) `u32` memmove — instead of a full
+//! resort, or a walk of the whole order.
 //!
 //! **Soundness relative to from-scratch runs**: inserting records can only
 //! *increase* the distance between two old records in a pass's sorted
@@ -36,7 +39,7 @@
 use crate::key::KeySpec;
 use crate::radix::chunked_str_cmp;
 use mp_closure::{ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
-use mp_metrics::{span, span_labeled, Counter, PipelineObserver};
+use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
 use mp_store::{MatchStore, PassSnapshot, Snapshot, StoreError};
@@ -54,6 +57,22 @@ struct PassState {
     pairs_found: u64,
     /// Matching comparisons that were *new* to the global pair set.
     pairs_first_found: u64,
+}
+
+impl PassState {
+    /// Extracts keys for the new records `old_len..` and returns their ids
+    /// sorted by key (stable, so ties stay in id order).
+    fn key_batch(&mut self, records: &[Record], old_len: u32) -> Vec<u32> {
+        let mut buf = String::new();
+        for r in &records[old_len as usize..] {
+            self.key.extract_into(r, &mut buf);
+            self.keys.push(buf.clone());
+        }
+        let keys = &self.keys;
+        let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
+        batch_order.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
+        batch_order
+    }
 }
 
 /// Per-pass attribution counters, in pass order.
@@ -262,30 +281,14 @@ impl IncrementalMergePurge {
         )
     }
 
-    /// Ingests a batch: renumbers its records to follow the base, merges
+    /// Ingests a batch: renumbers its records to follow the base, splices
     /// it into every pass's order, and scans only new-involving pairs.
     ///
     /// # Panics
     ///
     /// Panics when no passes are configured.
-    pub fn add_batch(&mut self, mut batch: Vec<Record>, theory: &dyn EquationalTheory) {
-        assert!(
-            !self.passes.is_empty(),
-            "configure passes before adding batches"
-        );
-        let old_len = self.records.len() as u32;
-        for (i, r) in batch.iter_mut().enumerate() {
-            r.id = RecordId(old_len + i as u32);
-        }
-        self.records.append(&mut batch);
-        self.closure.grow(self.records.len());
-        self.cluster_sizes.grow(self.records.len());
-        self.batches_applied += 1;
-        self.last_batch_largest_merge = None;
-
-        for p in 0..self.passes.len() {
-            self.scan_pass(p, old_len, theory);
-        }
+    pub fn add_batch(&mut self, batch: Vec<Record>, theory: &dyn EquationalTheory) {
+        self.add_batch_sharded(batch, theory, 1, &NoopObserver);
     }
 
     /// Like [`add_batch`](Self::add_batch), but splits every pass's window
@@ -313,12 +316,62 @@ impl IncrementalMergePurge {
     /// Panics when no passes are configured or `shards` is 0.
     pub fn add_batch_sharded(
         &mut self,
-        mut batch: Vec<Record>,
+        batch: Vec<Record>,
         theory: &dyn EquationalTheory,
         shards: usize,
         observer: &dyn PipelineObserver,
     ) {
         assert!(shards >= 1, "need at least one shard");
+        let old_len = self.absorb(batch);
+        for p in 0..self.passes.len() {
+            let fresh = self.merge_pass(p, old_len);
+            let pass = &self.passes[p];
+            let n = pass.order.len();
+            let dirty = dirty_ranges(&fresh, pass.window, n);
+            let scan = WindowScan {
+                records: &self.records,
+                order: &pass.order,
+                window: pass.window,
+                old_len,
+                theory,
+                attribute: self.record_provenance,
+            };
+            let results: Vec<BandScan> = if shards == 1 {
+                vec![scan.band(&dirty, 1, n)]
+            } else {
+                let (scan, dirty) = (&scan, &dirty);
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = band_ranges(n, shards)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, (from, to))| {
+                            // Named so repeated batches land on one
+                            // flight-recorder lane per band.
+                            std::thread::Builder::new()
+                                .name(format!("band-{k}"))
+                                .spawn_scoped(s, move || {
+                                    let _scan = span_labeled(observer, "shard_scan", || {
+                                        format!("shard={k}")
+                                    });
+                                    scan.band(dirty, from, to)
+                                })
+                                .expect("spawn band scan thread")
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                })
+            };
+            let _reconcile = span(observer, "closure_reconcile");
+            for (comparisons, found) in &results {
+                self.fold_scan(p, *comparisons, found);
+            }
+        }
+    }
+
+    /// Appends a batch to the record store, renumbering it to follow the
+    /// base, and grows the closure to match. Returns the old record count:
+    /// ids at or above it are this batch's.
+    fn absorb(&mut self, mut batch: Vec<Record>) -> u32 {
         assert!(
             !self.passes.is_empty(),
             "configure passes before adding batches"
@@ -332,110 +385,16 @@ impl IncrementalMergePurge {
         self.cluster_sizes.grow(self.records.len());
         self.batches_applied += 1;
         self.last_batch_largest_merge = None;
-
-        for p in 0..self.passes.len() {
-            let merged = self.merge_pass(p, old_len);
-            let w = self.passes[p].window;
-            let records = &self.records;
-            let attribute = self.record_provenance;
-            let results: Vec<BandScan> = if shards == 1 {
-                vec![scan_band(
-                    records,
-                    &merged,
-                    w,
-                    old_len,
-                    1,
-                    merged.len(),
-                    theory,
-                    attribute,
-                )]
-            } else {
-                let merged = &merged;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = band_ranges(merged.len(), shards)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, (from, to))| {
-                            // Named so repeated batches land on one
-                            // flight-recorder lane per band.
-                            std::thread::Builder::new()
-                                .name(format!("band-{k}"))
-                                .spawn_scoped(s, move || {
-                                    let _scan = span_labeled(observer, "shard_scan", || {
-                                        format!("shard={k}")
-                                    });
-                                    scan_band(
-                                        records, merged, w, old_len, from, to, theory, attribute,
-                                    )
-                                })
-                                .expect("spawn band scan thread")
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            let _reconcile = span(observer, "closure_reconcile");
-            for (comparisons, found) in &results {
-                self.fold_scan(p, *comparisons, found);
-            }
-            self.passes[p].order = merged;
-        }
+        old_len
     }
 
-    fn scan_pass(&mut self, p: usize, old_len: u32, theory: &dyn EquationalTheory) {
-        let merged = self.merge_pass(p, old_len);
-        let w = self.passes[p].window;
-        let (comparisons, found) = scan_band(
-            &self.records,
-            &merged,
-            w,
-            old_len,
-            1,
-            merged.len(),
-            theory,
-            self.record_provenance,
-        );
-        self.fold_scan(p, comparisons, &found);
-        self.passes[p].order = merged;
-    }
-
-    /// Extracts keys for the new records `old_len..` and merges the sorted
-    /// batch into pass `p`'s existing order. Returns the merged order
-    /// without installing it (the caller installs after scanning).
-    fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<u32> {
+    /// Extracts keys for the new records `old_len..`, sorts them, and
+    /// splices them into pass `p`'s order in place. Returns the ascending
+    /// positions the new records now occupy.
+    fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<usize> {
         let pass = &mut self.passes[p];
-        let records = &self.records;
-
-        // Extract keys for the new records and sort the batch.
-        let mut buf = String::new();
-        for r in &records[old_len as usize..] {
-            pass.key.extract_into(r, &mut buf);
-            pass.keys.push(buf.clone());
-        }
-        let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
-        batch_order
-            .sort_by(|&a, &b| chunked_str_cmp(&pass.keys[a as usize], &pass.keys[b as usize]));
-
-        // Merge old order and batch order (both sorted; stable by id when
-        // keys tie, matching a from-scratch stable sort).
-        let keys = &pass.keys;
-        let mut merged: Vec<u32> = Vec::with_capacity(pass.order.len() + batch_order.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < pass.order.len() && j < batch_order.len() {
-            let a = pass.order[i];
-            let b = batch_order[j];
-            // Old record ids are always smaller, so ties keep old first.
-            if chunked_str_cmp(&keys[a as usize], &keys[b as usize]).is_le() {
-                merged.push(a);
-                i += 1;
-            } else {
-                merged.push(b);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&pass.order[i..]);
-        merged.extend_from_slice(&batch_order[j..]);
-        merged
+        let batch_order = pass.key_batch(&self.records, old_len);
+        splice_sorted(&mut pass.order, &pass.keys, &batch_order)
     }
 
     /// Folds one band's scan result into pass `p`'s counters, the global
@@ -589,53 +548,111 @@ pub struct Evidence {
 /// `(prev, new, rule_id)` triples in exact scan order.
 type BandScan = (u64, Vec<(u32, u32, u32)>);
 
-/// Scans window positions `from..to` of `merged` read-only: position `i`
-/// compares `records[merged[i]]` against its up-to-`w-1` predecessors,
-/// skipping old-old pairs (both ids `< old_len`, decided in earlier
-/// cycles). Returns the comparison count and the matching `(prev, new,
-/// rule_id)` triples in exact scan order, so a coordinator can fold
-/// several bands' results in band order and reproduce the serial scan's
-/// discovery sequence exactly — including first-found rule attribution,
-/// which is therefore identical across serial, parallel, and sharded
-/// engines. With `attribute` off the rule id is always 0 and the cheaper
-/// boolean theory entry point is used.
-#[allow(clippy::too_many_arguments)] // one coherent scan descriptor
-fn scan_band(
-    records: &[Record],
-    merged: &[u32],
-    w: usize,
-    old_len: u32,
-    from: usize,
-    to: usize,
-    theory: &dyn EquationalTheory,
-    attribute: bool,
-) -> BandScan {
-    let mut comparisons = 0u64;
-    let mut found = Vec::new();
-    for i in from.max(1)..to {
-        let lo = i.saturating_sub(w - 1);
-        let new_id = merged[i];
-        for &prev in &merged[lo..i] {
-            if new_id < old_len && prev < old_len {
-                continue; // both old: already compared when closer
-            }
-            comparisons += 1;
-            let (r1, r2) = (&records[prev as usize], &records[new_id as usize]);
-            if attribute {
-                if let Some(rule) = theory.matching_rule_id(r1, r2) {
-                    found.push((prev, new_id, rule as u32));
-                }
-            } else if theory.matches(r1, r2) {
-                found.push((prev, new_id, 0));
-            }
+/// Merges the key-sorted `batch` into the key-sorted `order` in place and
+/// returns the ascending positions the batch's ids now occupy.
+///
+/// Each batch key's insertion point is found by binary search over the
+/// unconsumed suffix of the old order: it goes after every old key `<=`
+/// it, so ties keep old records first and batch records in batch order —
+/// exactly a stable merge, and a stable from-scratch sort, of the two.
+/// Cost: O(B log N) key comparisons and one backward memmove of the `u32`
+/// suffix behind the first insertion point.
+fn splice_sorted(order: &mut Vec<u32>, keys: &[String], batch: &[u32]) -> Vec<usize> {
+    let mut cuts = Vec::with_capacity(batch.len());
+    let mut start = 0usize;
+    for &b in batch {
+        let key = &keys[b as usize];
+        start +=
+            order[start..].partition_point(|&a| chunked_str_cmp(&keys[a as usize], key).is_le());
+        cuts.push(start);
+    }
+    // Shift from the back: the old run between cuts j and j+1 moves up by
+    // j+1 slots, and batch record j lands just below it.
+    let mut end = order.len();
+    order.resize(end + batch.len(), 0);
+    for (j, &cut) in cuts.iter().enumerate().rev() {
+        order.copy_within(cut..end, cut + j + 1);
+        order[cut + j] = batch[j];
+        end = cut;
+    }
+    for (j, cut) in cuts.iter_mut().enumerate() {
+        *cut += j;
+    }
+    cuts
+}
+
+/// The scan positions that can hold a new-involving window pair, as
+/// ascending, disjoint, half-open ranges over `1..n`. Position `i` pairs
+/// with its `w-1` predecessors, so a pair touches the new record at
+/// position `q` only when `i` lies in `q..q+w`; every other position
+/// holds old-old pairs alone, which the scan skips uncounted.
+fn dirty_ranges(fresh: &[usize], w: usize, n: usize) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = Vec::with_capacity(fresh.len());
+    for &q in fresh {
+        let (from, to) = (q.max(1), (q + w).min(n));
+        match out.last_mut() {
+            Some(last) if from <= last.1 => last.1 = to,
+            _ if from < to => out.push((from, to)),
+            _ => {}
         }
     }
-    (comparisons, found)
+    out
+}
+
+/// A read-only window scan over one pass's spliced order.
+struct WindowScan<'a> {
+    records: &'a [Record],
+    order: &'a [u32],
+    window: usize,
+    /// Ids below this were decided in earlier cycles.
+    old_len: u32,
+    theory: &'a dyn EquationalTheory,
+    /// With `attribute` off the rule id is always 0 and the cheaper
+    /// boolean theory entry point is used.
+    attribute: bool,
+}
+
+impl WindowScan<'_> {
+    /// Scans the `dirty` positions that fall in band `from..to`: position
+    /// `i` compares `records[order[i]]` against its up-to-`w-1`
+    /// predecessors, skipping old-old pairs (both ids `< old_len`, decided
+    /// in earlier cycles). Returns the comparison count and the matching
+    /// `(prev, new, rule_id)` triples in exact scan order, so a
+    /// coordinator can fold several bands' results in band order and
+    /// reproduce the serial scan's discovery sequence exactly — including
+    /// first-found rule attribution, which is therefore identical across
+    /// serial, parallel, and sharded engines.
+    fn band(&self, dirty: &[(usize, usize)], from: usize, to: usize) -> BandScan {
+        let old_len = self.old_len;
+        let mut comparisons = 0u64;
+        let mut found = Vec::new();
+        for &(a, b) in dirty {
+            for i in a.max(from)..b.min(to) {
+                let lo = i.saturating_sub(self.window - 1);
+                let new_id = self.order[i];
+                for &prev in &self.order[lo..i] {
+                    if new_id < old_len && prev < old_len {
+                        continue; // both old: already compared when closer
+                    }
+                    comparisons += 1;
+                    let (r1, r2) = (&self.records[prev as usize], &self.records[new_id as usize]);
+                    if self.attribute {
+                        if let Some(rule) = self.theory.matching_rule_id(r1, r2) {
+                            found.push((prev, new_id, rule as u32));
+                        }
+                    } else if self.theory.matches(r1, r2) {
+                        found.push((prev, new_id, 0));
+                    }
+                }
+            }
+        }
+        (comparisons, found)
+    }
 }
 
 /// Splits scan positions `1..n` into `shards` contiguous bands (earlier
 /// bands take the remainder). A band owns the window pairs whose *later*
-/// element falls inside it; `scan_band`'s backward window reaches across
+/// element falls inside it; the band scan's backward window reaches across
 /// the left boundary — the band-replication seam — so every boundary pair
 /// is still evaluated exactly once. Bands may be empty when `shards`
 /// exceeds the position count.
@@ -958,6 +975,7 @@ mod tests {
     use mp_metrics::NoopObserver;
     use mp_rules::NativeEmployeeTheory;
     use mp_store::JOURNAL_FILE;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     fn batches(seed: u64, n: usize, parts: usize) -> Vec<Vec<Record>> {
@@ -1104,6 +1122,237 @@ mod tests {
                 }
                 assert_eq!(next, n.max(1), "positions 1..{n} not covered");
             }
+        }
+    }
+
+    // ---- dense oracle ---------------------------------------------------
+
+    /// The reference merge: a linear merge of the old order and the sorted
+    /// batch into a fresh vector (stable, old first on ties).
+    fn dense_merge(order: &[u32], keys: &[String], batch: &[u32]) -> Vec<u32> {
+        let mut merged = Vec::with_capacity(order.len() + batch.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < order.len() && j < batch.len() {
+            let (a, b) = (order[i], batch[j]);
+            if chunked_str_cmp(&keys[a as usize], &keys[b as usize]).is_le() {
+                merged.push(a);
+                i += 1;
+            } else {
+                merged.push(b);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&order[i..]);
+        merged.extend_from_slice(&batch[j..]);
+        merged
+    }
+
+    /// The reference scan: every position of `from..to`, old-old pairs
+    /// skipped uncounted.
+    fn dense_scan(scan: &WindowScan<'_>, from: usize, to: usize) -> BandScan {
+        let mut comparisons = 0u64;
+        let mut found = Vec::new();
+        for i in from.max(1)..to {
+            let new_id = scan.order[i];
+            for &prev in &scan.order[i.saturating_sub(scan.window - 1)..i] {
+                if new_id < scan.old_len && prev < scan.old_len {
+                    continue;
+                }
+                comparisons += 1;
+                let (r1, r2) = (&scan.records[prev as usize], &scan.records[new_id as usize]);
+                if scan.attribute {
+                    if let Some(rule) = scan.theory.matching_rule_id(r1, r2) {
+                        found.push((prev, new_id, rule as u32));
+                    }
+                } else if scan.theory.matches(r1, r2) {
+                    found.push((prev, new_id, 0));
+                }
+            }
+        }
+        (comparisons, found)
+    }
+
+    impl IncrementalMergePurge {
+        /// The engine step built from the reference merge and scan: a
+        /// fresh merged order per pass and a walk of every position.
+        fn add_batch_dense(&mut self, batch: Vec<Record>, theory: &dyn EquationalTheory) {
+            let old_len = self.absorb(batch);
+            for p in 0..self.passes.len() {
+                let pass = &mut self.passes[p];
+                let batch_order = pass.key_batch(&self.records, old_len);
+                pass.order = dense_merge(&pass.order, &pass.keys, &batch_order);
+                let pass = &self.passes[p];
+                let scan = WindowScan {
+                    records: &self.records,
+                    order: &pass.order,
+                    window: pass.window,
+                    old_len,
+                    theory,
+                    attribute: self.record_provenance,
+                };
+                let (comparisons, found) = dense_scan(&scan, 1, pass.order.len());
+                self.fold_scan(p, comparisons, &found);
+            }
+        }
+    }
+
+    /// `n` seeded records renumbered `0..n`. With `ties > 0` every last
+    /// name is overwritten by one of `ties` names, so keys collide heavily
+    /// within and across batches.
+    fn tied_records(seed: u64, n: usize, ties: usize) -> Vec<Record> {
+        let db = DatabaseGenerator::new(GeneratorConfig::new(n).duplicate_fraction(0.5).seed(seed))
+            .generate();
+        let mut records: Vec<Record> = db.records.into_iter().take(n).collect();
+        for (i, r) in records.iter_mut().enumerate() {
+            r.id = RecordId(i as u32);
+            if ties > 0 {
+                r.last_name = ["SMITH", "SMYTH", "JONES"][i * 7 % ties].to_string();
+            }
+        }
+        records
+    }
+
+    proptest! {
+        /// The in-place splice equals the linear merge, and the banded
+        /// dirty-window scan equals the dense scan: same comparisons, same
+        /// `(prev, new, rule)` triples in the same order.
+        #[test]
+        fn splice_and_dirty_scan_match_dense_oracle(
+            seed in 0u64..10_000,
+            base in prop_oneof![0usize..1, 1usize..2, 2usize..12, 60usize..150],
+            batch in prop_oneof![1usize..2, 2usize..40, 150usize..250],
+            ties in 0usize..4,
+            w in 2usize..=12,
+            shards in 1usize..=8,
+        ) {
+            let theory = NativeEmployeeTheory::new();
+            let records = tied_records(seed, base + batch, ties);
+            let key = KeySpec::last_name_key();
+            let keys: Vec<String> = records.iter().map(|r| key.extract(r)).collect();
+            let sorted = |ids: std::ops::Range<usize>| {
+                let mut v: Vec<u32> = ids.map(|i| i as u32).collect();
+                v.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
+                v
+            };
+            let old = sorted(0..base);
+            let new_ids = sorted(base..records.len());
+            let mut order = old.clone();
+            let fresh = splice_sorted(&mut order, &keys, &new_ids);
+            prop_assert_eq!(&order, &dense_merge(&old, &keys, &new_ids));
+            let want_fresh: Vec<usize> =
+                (0..order.len()).filter(|&i| order[i] as usize >= base).collect();
+            prop_assert_eq!(&fresh, &want_fresh);
+
+            let scan = WindowScan {
+                records: &records,
+                order: &order,
+                window: w,
+                old_len: base as u32,
+                theory: &theory,
+                attribute: true,
+            };
+            let dirty = dirty_ranges(&fresh, w, order.len());
+            let mut got: BandScan = (0, Vec::new());
+            for (from, to) in band_ranges(order.len(), shards) {
+                let (c, f) = scan.band(&dirty, from, to);
+                got.0 += c;
+                got.1.extend(f);
+            }
+            prop_assert_eq!(got, dense_scan(&scan, 1, order.len()));
+        }
+
+        /// A sharded engine fed batch after batch stays bit-identical to
+        /// the dense-oracle engine, with lineage recording on or off:
+        /// orders, comparisons, pass counters, pairs, provenance edges and
+        /// firings, closure.
+        #[test]
+        fn engine_matches_dense_oracle(
+            seed in 0u64..10_000,
+            base in prop_oneof![0usize..1, 1usize..2, 2usize..12, 40usize..100],
+            batch in prop_oneof![1usize..2, 2usize..30, 100usize..140],
+            ties in 0usize..4,
+            w in 2usize..=12,
+            shards in 1usize..=8,
+            lineage in 0u8..2,
+        ) {
+            let theory = NativeEmployeeTheory::new();
+            let records = tied_records(seed, base + 2 * batch, ties);
+            let parts = [
+                &records[..base],
+                &records[base..base + batch],
+                &records[base + batch..],
+            ];
+            let engine = || {
+                let e = IncrementalMergePurge::new()
+                    .pass(KeySpec::last_name_key(), w)
+                    .pass(KeySpec::first_name_key(), w);
+                if lineage == 0 { e.without_provenance() } else { e }
+            };
+            let (mut fast, mut dense) = (engine(), engine());
+            for part in parts {
+                fast.add_batch_sharded(part.to_vec(), &theory, shards, &NoopObserver);
+                dense.add_batch_dense(part.to_vec(), &theory);
+                for (f, d) in fast.passes.iter().zip(&dense.passes) {
+                    prop_assert_eq!(&f.order, &d.order);
+                }
+                prop_assert_eq!(fingerprint(&fast), fingerprint(&dense));
+                prop_assert_eq!(fast.provenance(), dense.provenance());
+                prop_assert_eq!(fast.classes(), dense.classes());
+            }
+        }
+    }
+
+    /// Records whose last names spread over a wide key range, numbered
+    /// from `first`.
+    fn spread_records(first: usize, n: usize) -> Vec<Record> {
+        (first..first + n)
+            .map(|i| {
+                let mut r = Record::empty(RecordId(i as u32));
+                r.last_name = format!(
+                    "N{:08}",
+                    (i as u64).wrapping_mul(2_654_435_761) % 100_000_000
+                );
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_work_is_bounded_by_window_times_batch_whatever_the_base() {
+        /// Never matches: the bound is on comparisons, not on what they find.
+        struct Never;
+        impl EquationalTheory for Never {
+            fn matches(&self, _: &Record, _: &Record) -> bool {
+                false
+            }
+            fn name(&self) -> &str {
+                "never"
+            }
+        }
+        let w = 10;
+        let batch = spread_records(1_000_000, 100);
+        let b = batch.len();
+        for base in [1_000usize, 50_000] {
+            let mut inc = IncrementalMergePurge::new().pass(KeySpec::last_name_key(), w);
+            inc.add_batch(spread_records(0, base), &Never);
+            let before = inc.comparisons();
+            inc.add_batch(batch.clone(), &Never);
+            let comparisons = inc.comparisons() - before;
+            assert!(
+                comparisons <= (2 * (w - 1) * b) as u64,
+                "base {base}: {comparisons} comparisons for a batch of {b}"
+            );
+            // The scan visits only the dirty windows: at most w positions
+            // per new record, however large the base.
+            let order = &inc.passes[0].order;
+            let fresh: Vec<usize> = (0..order.len())
+                .filter(|&i| order[i] as usize >= base)
+                .collect();
+            let visited: usize = dirty_ranges(&fresh, w, order.len())
+                .iter()
+                .map(|(from, to)| to - from)
+                .sum();
+            assert!(visited <= w * b, "base {base}: {visited} positions visited");
         }
     }
 

@@ -23,7 +23,8 @@
 //!   key sort;
 //! * the streaming scan visits window positions in ascending order and
 //!   each window farthest-predecessor-first, the exact comparison
-//!   sequence of the engine's `scan_band` over positions `1..n`;
+//!   sequence of the engine's window scan over positions `1..n` (on a
+//!   first batch every position is within a window of a new record);
 //! * passes fold into the global pair set and closure sequentially, in
 //!   configuration order, as `add_batch` does.
 //!

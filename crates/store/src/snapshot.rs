@@ -41,7 +41,8 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One pass's persisted state: configuration (for validation on load),
 /// attribution counters, and the sorted key index that lets the next batch
-/// merge in O(N + B log B) instead of a full resort.
+/// of B records splice in with O(B log B + B log N) key comparisons and one
+/// O(N) `u32` memmove instead of a full resort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassSnapshot {
     /// Display name of the pass's key (`KeySpec::name` in the core crate);
@@ -169,7 +170,10 @@ impl Snapshot {
         }
         let count = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
 
-        let mut sections: Vec<([u8; 4], &[u8])> = Vec::with_capacity(count);
+        // Every section header takes 16 bytes, so the input bounds how
+        // many the count can honestly claim.
+        let mut sections: Vec<([u8; 4], &[u8])> =
+            Vec::with_capacity(count.min((data.len() - 16) / 16));
         let mut off = 16usize;
         for i in 0..count {
             if data.len() < off + 16 {
@@ -728,6 +732,20 @@ mod tests {
         let err =
             write_streamed(&mut cursor, &state, snap.records.iter().cloned().map(Ok)).unwrap_err();
         assert!(err.to_string().contains("yielded"), "{err}");
+    }
+
+    #[test]
+    fn huge_section_count_is_corrupt_not_an_allocation_abort() {
+        // A 36-byte file whose header claims 2^32 - 1 sections.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(36, 0);
+        assert!(matches!(
+            Snapshot::decode(&bytes),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mp_rules::{
     Survivorship,
 };
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -635,10 +635,11 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
     }
 
     if let Some(path) = flags.get("pairs-out") {
-        let mut f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+        let mut f = BufWriter::new(File::create(path).map_err(|e| format!("create {path}: {e}"))?);
         for (a, b) in result.closed_pairs.sorted() {
             writeln!(f, "{a}\t{b}").map_err(|e| e.to_string())?;
         }
+        f.flush().map_err(|e| format!("write {path}: {e}"))?;
         status!(
             to_stderr,
             "wrote {} pairs to {path}",
@@ -646,11 +647,12 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
         );
     }
     if let Some(path) = flags.get("classes-out") {
-        let mut f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+        let mut f = BufWriter::new(File::create(path).map_err(|e| format!("create {path}: {e}"))?);
         for class in &result.classes {
             let ids: Vec<String> = class.iter().map(u32::to_string).collect();
             writeln!(f, "{}", ids.join("\t")).map_err(|e| e.to_string())?;
         }
+        f.flush().map_err(|e| format!("write {path}: {e}"))?;
         status!(to_stderr, "wrote {} groups to {path}", result.classes.len());
     }
 
