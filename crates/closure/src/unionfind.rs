@@ -3,6 +3,13 @@
 /// Union-find over the dense id space `0..n` with path halving and union by
 /// rank — effectively linear in the number of operations.
 ///
+/// Alongside the forest it keeps a cyclic *member ring* (`next`): every set
+/// is one cycle of `next` pointers, so [`UnionFind::class_of`] lists a
+/// single class in O(|class|) without touching the rest of the forest.
+/// The ring costs 4 bytes per element and is derived state — it is not
+/// part of the [`UnionFind::encode_into`] encoding and is rebuilt by
+/// [`UnionFind::decode`].
+///
 /// Ids are `u32` because the paper's closure operates on "pairs of tuple
 /// id's, each at most 30 bits" (§3.3); four billion records is comfortably
 /// beyond the billion-record scenario of §4.3.
@@ -20,6 +27,8 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
+    /// Member ring: `next[x]` is the next member of `x`'s set, cyclically.
+    next: Vec<u32>,
     sets: usize,
 }
 
@@ -34,6 +43,7 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
+            next: (0..n as u32).collect(),
             sets: n,
         }
     }
@@ -59,6 +69,7 @@ impl UnionFind {
         }
         self.parent.extend(old as u32..n as u32);
         self.rank.resize(n, 0);
+        self.next.extend(old as u32..n as u32);
         self.sets += n - old;
     }
 
@@ -80,7 +91,8 @@ impl UnionFind {
     /// Reconstructs a forest serialized by [`UnionFind::encode_into`].
     /// Validates structure (every parent in range, byte length exact) and
     /// recomputes the set count from the root count rather than trusting
-    /// the input.
+    /// the input. The member ring is rebuilt in O(n) from the validated
+    /// parents (walks are bounded by the ≤ 255 strictly increasing ranks).
     ///
     /// # Errors
     ///
@@ -124,7 +136,26 @@ impl UnionFind {
             .enumerate()
             .filter(|&(i, &p)| i == p as usize)
             .count();
-        Ok(UnionFind { parent, rank, sets })
+        // Splice every non-root in right after its root: each set becomes
+        // one cycle through its root. Read-only walks keep the decoded
+        // forest shape (and so the re-encoded bytes) exactly as stored.
+        let mut next: Vec<u32> = (0..n as u32).collect();
+        for x in 0..n {
+            let mut r = x;
+            while parent[r] as usize != r {
+                r = parent[r] as usize;
+            }
+            if r != x {
+                next[x] = next[r];
+                next[r] = x as u32;
+            }
+        }
+        Ok(UnionFind {
+            parent,
+            rank,
+            next,
+            sets,
+        })
     }
 
     /// True when the id space is empty.
@@ -178,6 +209,9 @@ impl UnionFind {
             }
         };
         self.parent[lo as usize] = hi;
+        // Swapping the successors of two nodes on different cycles splices
+        // the cycles into one.
+        self.next.swap(ra as usize, rb as usize);
         self.sets -= 1;
         true
     }
@@ -185,6 +219,31 @@ impl UnionFind {
     /// True when `a` and `b` are in the same set.
     pub fn connected(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
+    }
+
+    /// Every member of `x`'s set, sorted ascending (`[x]` for a singleton).
+    ///
+    /// Walks the member ring, so the cost is O(k log k) for a class of `k`
+    /// members whatever the size of the forest; takes `&self` because it
+    /// needs no `find` (and so no path compression).
+    ///
+    /// ```
+    /// use mp_closure::UnionFind;
+    /// let mut uf = UnionFind::new(6);
+    /// uf.union(4, 1);
+    /// uf.union(1, 5);
+    /// assert_eq!(uf.class_of(5), vec![1, 4, 5]);
+    /// assert_eq!(uf.class_of(2), vec![2]);
+    /// ```
+    pub fn class_of(&self, x: u32) -> Vec<u32> {
+        let mut class = vec![x];
+        let mut y = self.next[x as usize];
+        while y != x {
+            class.push(y);
+            y = self.next[y as usize];
+        }
+        class.sort_unstable();
+        class
     }
 
     /// Every equivalence class with at least two members: members sorted
@@ -344,6 +403,33 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_long_cycle_and_rebuilds_the_ring_in_n_entries() {
+        // 0→1→2→0 cannot have strictly increasing ranks all the way round,
+        // so the rank check rejects it before the ring walk could spin.
+        let mut cycle = Vec::new();
+        UnionFind::new(3).encode_into(&mut cycle);
+        for (i, p) in [1u32, 2, 0].into_iter().enumerate() {
+            cycle[4 + i * 4..8 + i * 4].copy_from_slice(&p.to_le_bytes());
+        }
+        cycle[16..19].copy_from_slice(&[0, 1, 2]);
+        assert!(UnionFind::decode(&cycle).unwrap_err().contains("rank"));
+
+        let mut uf = UnionFind::new(1000);
+        for i in 0..999 {
+            uf.union(i, i + 1);
+        }
+        let mut blob = Vec::new();
+        uf.encode_into(&mut blob);
+        let back = UnionFind::decode(&blob).unwrap();
+        assert_eq!(back.next.len(), 1000);
+        assert!(back.next.capacity() <= 1000, "ring over-allocated");
+        assert_eq!(back.class_of(500), (0..1000).collect::<Vec<u32>>());
+        let mut again = Vec::new();
+        back.encode_into(&mut again);
+        assert_eq!(again, blob, "decode must not reshape the forest");
+    }
+
+    #[test]
     fn empty_universe() {
         let mut uf = UnionFind::new(0);
         assert!(uf.is_empty());
@@ -382,6 +468,46 @@ mod tests {
             }
             let distinct: std::collections::HashSet<usize> = label.iter().copied().collect();
             prop_assert_eq!(uf.set_count(), distinct.len());
+        }
+
+        #[test]
+        fn class_of_matches_classes_through_grow_and_round_trips(
+            n in 1usize..30,
+            extra in 0usize..10,
+            before in proptest::collection::vec((0u32..40, 0u32..40), 0..40),
+            middle in proptest::collection::vec((0u32..40, 0u32..40), 0..20),
+            after in proptest::collection::vec((0u32..40, 0u32..40), 0..20),
+        ) {
+            fn check(uf: &UnionFind) {
+                let classes = uf.clone().classes();
+                for x in 0..uf.len() as u32 {
+                    let want = classes
+                        .iter()
+                        .find(|c| c.contains(&x))
+                        .cloned()
+                        .unwrap_or_else(|| vec![x]);
+                    prop_assert_eq!(uf.class_of(x), want);
+                }
+            }
+            let mut uf = UnionFind::new(n);
+            for (a, b) in before {
+                uf.union(a % n as u32, b % n as u32);
+            }
+            check(&uf);
+            let m = n + extra;
+            uf.grow(m);
+            for (a, b) in middle {
+                uf.union(a % m as u32, b % m as u32);
+            }
+            check(&uf);
+            let mut blob = Vec::new();
+            uf.encode_into(&mut blob);
+            let mut back = UnionFind::decode(&blob).unwrap();
+            check(&back);
+            for (a, b) in after {
+                back.union(a % m as u32, b % m as u32);
+            }
+            check(&back);
         }
 
         #[test]

@@ -444,6 +444,24 @@ impl IncrementalMergePurge {
         self.closure.clone().classes()
     }
 
+    /// The duplicate class of record `id`, sorted ascending — `[id]` when
+    /// nothing matched it. Walks the closure's member ring: O(|class|),
+    /// no clone of the forest.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a record id (`id >= records().len()`).
+    pub fn class_of(&self, id: u32) -> Vec<u32> {
+        self.closure.class_of(id)
+    }
+
+    /// Number of disjoint classes in the closure, singletons included, so
+    /// `records().len() - set_count()` is the number of records that are
+    /// duplicates of an earlier class member. O(1).
+    pub fn set_count(&self) -> usize {
+        self.closure.set_count()
+    }
+
     /// Converts the full engine state into a storable [`Snapshot`].
     pub fn to_snapshot(&self) -> Snapshot {
         Snapshot {
@@ -1299,6 +1317,44 @@ mod tests {
                 prop_assert_eq!(fast.provenance(), dense.provenance());
                 prop_assert_eq!(fast.classes(), dense.classes());
             }
+        }
+
+        /// The O(1) class counts and the O(|class|) `class_of` agree with
+        /// the materialized `classes()` after every batch, for any shard
+        /// count, and still agree on an engine restored from a snapshot.
+        #[test]
+        fn class_counts_and_class_of_match_materialized_classes(
+            seed in 0u64..10_000,
+            n in 1usize..400,
+            parts in 1usize..5,
+            shards in 1usize..=8,
+        ) {
+            fn check(e: &IncrementalMergePurge) {
+                let classes = e.classes();
+                prop_assert_eq!(e.cluster_sizes().cluster_count() as usize, classes.len());
+                let duplicates: usize = classes.iter().map(|c| c.len() - 1).sum();
+                prop_assert_eq!(e.records().len() - e.set_count(), duplicates);
+                let mut want: Vec<Vec<u32>> =
+                    (0..e.records().len() as u32).map(|x| vec![x]).collect();
+                for c in &classes {
+                    for &x in c {
+                        want[x as usize] = c.clone();
+                    }
+                }
+                for (x, w) in want.iter().enumerate() {
+                    prop_assert_eq!(&e.class_of(x as u32), w);
+                }
+            }
+            let theory = NativeEmployeeTheory::new();
+            let mut e = two_pass(IncrementalMergePurge::new());
+            for part in batches(seed, n, parts) {
+                e.add_batch_sharded(part, &theory, shards, &NoopObserver);
+                check(&e);
+            }
+            let restored = two_pass(IncrementalMergePurge::new())
+                .restore(e.to_snapshot())
+                .unwrap();
+            check(&restored);
         }
     }
 

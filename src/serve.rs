@@ -87,6 +87,7 @@ use mp_record::{io as rio, Record};
 use mp_rules::EquationalTheory;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -223,6 +224,44 @@ fn install_signal_handlers() {
     }
 }
 
+/// Longest an accept loop waits for a connection before re-checking the
+/// shutdown flag.
+const ACCEPT_WAIT: Duration = Duration::from_millis(25);
+
+/// Waits up to `timeout` for any of `fds` to become readable (for a
+/// listener: a connection is pending) and reports which are. `poll(2)`
+/// skips negative fds, so an absent listener's slot can stay `-1`. A
+/// signal interrupting the wait reports nothing ready, like a timeout.
+fn wait_readable<const N: usize>(fds: [RawFd; N], timeout: Duration) -> io::Result<[bool; N]> {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut pfds = fds.map(|fd| PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
+    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: `pfds` is a live array of exactly `N` `struct pollfd`s.
+    if unsafe { poll(pfds.as_mut_ptr(), N as std::os::raw::c_ulong, ms) } < 0 {
+        let e = io::Error::last_os_error();
+        return match e.kind() {
+            io::ErrorKind::Interrupted => Ok([false; N]),
+            _ => Err(e),
+        };
+    }
+    // Errors and hang-ups count as ready too: the following `accept`
+    // reports them.
+    Ok(pfds.map(|p| p.revents != 0))
+}
+
 /// One queued unit of work for the single engine-owning worker thread.
 /// FIFO order is the serialization point: replies are sent only after the
 /// worker has durably processed the job.
@@ -239,6 +278,13 @@ enum Job {
 fn err_json(msg: &str) -> String {
     let mut obj = vec![("ok".to_string(), Json::Bool(false))];
     obj.push(("error".to_string(), Json::Str(msg.to_string())));
+    Json::Obj(obj).to_string()
+}
+
+/// A successful reply: `{"ok":true}` followed by `fields`.
+fn ok_json(fields: Vec<(String, Json)>) -> String {
+    let mut obj = vec![("ok".into(), Json::Bool(true))];
+    obj.extend(fields);
     Json::Obj(obj).to_string()
 }
 
@@ -325,6 +371,53 @@ impl Backend {
             Backend::Single(d) => d.bulk_restore(snap, recorder).map_err(|e| e.to_string()),
             Backend::Sharded(s) => s.bulk_restore(snap, recorder, obs),
         }
+    }
+}
+
+/// Writes a checkpoint and logs it: `checkpoint_written` with its
+/// `trigger`, or `checkpoint_failed`.
+fn logged_checkpoint(
+    backend: &mut Backend,
+    recorder: &MetricsRecorder,
+    obs: &ObsState,
+    trigger: &str,
+) -> Result<u64, String> {
+    let result = backend.checkpoint(recorder, obs);
+    match &result {
+        Ok(bytes) => obs.event(
+            Level::Info,
+            "checkpoint_written",
+            vec![
+                ("bytes".into(), Json::Num(*bytes as f64)),
+                ("trigger".into(), Json::Str(trigger.into())),
+            ],
+        ),
+        Err(e) => obs.event(
+            Level::Error,
+            "checkpoint_failed",
+            vec![("error".into(), Json::Str(e.clone()))],
+        ),
+    }
+    result
+}
+
+/// The reply to a client-requested checkpoint: `{"ok":true,"bytes":N}`,
+/// or an error reply naming `what` failed.
+fn checkpoint_reply(result: Result<u64, String>, what: &str) -> String {
+    match result {
+        Ok(bytes) => ok_json(vec![("bytes".into(), Json::Num(bytes as f64))]),
+        Err(e) => err_json(&format!("{what} failed: {e}")),
+    }
+}
+
+/// After a failed write: a poisoned store (a partial shard append, so disk
+/// and memory may disagree on sequence alignment) stops taking traffic;
+/// recovery discards the partial scatter on restart.
+fn stop_if_poisoned(backend: &Backend, obs: &ObsState, e: &str) {
+    if backend.poisoned() {
+        eprintln!("mergepurge serve: store poisoned, shutting down: {e}");
+        obs.event(Level::Error, "store_poisoned", vec![]);
+        SHUTDOWN.store(true, Ordering::SeqCst);
     }
 }
 
@@ -732,8 +825,8 @@ pub fn serve(
             if !config.quiet {
                 eprintln!("mergepurge serve: listening on {}", config.socket.display());
             }
-            // The optional TCP transport shares framing and dispatch with
-            // the Unix socket; it gets its own accept thread below.
+            // The optional TCP transport shares framing, dispatch and the
+            // accept loop below with the Unix socket.
             let tcp_listener = match &config.listen {
                 Some(addr) => {
                     let l = TcpListener::bind(addr)
@@ -902,38 +995,18 @@ pub fn serve(
                                                 && backend.batches_since_checkpoint()
                                                     >= snapshot_every
                                             {
-                                                match backend.checkpoint(recorder, obs) {
-                                                    Ok(bytes) => obs.event(
-                                                        Level::Info,
-                                                        "checkpoint_written",
-                                                        vec![
-                                                            (
-                                                                "bytes".into(),
-                                                                Json::Num(bytes as f64),
-                                                            ),
-                                                            (
-                                                                "trigger".into(),
-                                                                Json::Str("snapshot-every".into()),
-                                                            ),
-                                                        ],
-                                                    ),
-                                                    Err(e) => {
-                                                        eprintln!(
-                                                    "mergepurge serve: checkpoint failed: {e}"
-                                                );
-                                                        obs.event(
-                                                            Level::Error,
-                                                            "checkpoint_failed",
-                                                            vec![(
-                                                                "error".into(),
-                                                                Json::Str(e.to_string()),
-                                                            )],
-                                                        );
-                                                    }
+                                                if let Err(e) = logged_checkpoint(
+                                                    &mut backend,
+                                                    recorder,
+                                                    obs,
+                                                    "snapshot-every",
+                                                ) {
+                                                    eprintln!(
+                                                        "mergepurge serve: checkpoint failed: {e}"
+                                                    );
                                                 }
                                             }
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
+                                            ok_json(vec![
                                                 ("seq".into(), Json::Num(seq as f64)),
                                                 ("trace_id".into(), Json::Str(trace_id.clone())),
                                                 ("records".into(), Json::Num(n as f64)),
@@ -944,7 +1017,6 @@ pub fn serve(
                                                     ),
                                                 ),
                                             ])
-                                            .to_string()
                                         }
                                         Err(e) => {
                                             obs.event(
@@ -958,18 +1030,7 @@ pub fn serve(
                                                     ),
                                                 ],
                                             );
-                                            if backend.poisoned() {
-                                                // A partial shard append: disk and
-                                                // memory may disagree on sequence
-                                                // alignment. Stop taking traffic;
-                                                // recovery discards the partial
-                                                // scatter on restart.
-                                                eprintln!(
-                                            "mergepurge serve: store poisoned, shutting down: {e}"
-                                        );
-                                                obs.event(Level::Error, "store_poisoned", vec![]);
-                                                SHUTDOWN.store(true, Ordering::SeqCst);
-                                            }
+                                            stop_if_poisoned(&backend, obs, &e);
                                             err_json(&format!("ingest failed: {e}"))
                                         }
                                     }
@@ -1054,8 +1115,7 @@ pub fn serve(
                                                     ),
                                                 ],
                                             );
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
+                                            ok_json(vec![
                                                 (
                                                     "seq".into(),
                                                     Json::Num(last_seq(&backend) as f64),
@@ -1071,7 +1131,6 @@ pub fn serve(
                                                     ),
                                                 ),
                                             ])
-                                            .to_string()
                                         }
                                         Err(e) => {
                                             obs.event(
@@ -1085,13 +1144,7 @@ pub fn serve(
                                                     ),
                                                 ],
                                             );
-                                            if backend.poisoned() {
-                                                eprintln!(
-                                            "mergepurge serve: store poisoned, shutting down: {e}"
-                                        );
-                                                obs.event(Level::Error, "store_poisoned", vec![]);
-                                                SHUTDOWN.store(true, Ordering::SeqCst);
-                                            }
+                                            stop_if_poisoned(&backend, obs, &e);
                                             err_json(&format!("bulk load failed: {e}"))
                                         }
                                     }
@@ -1113,14 +1166,8 @@ pub fn serve(
                                     vec![("id".into(), Json::Num(id as f64))],
                                 );
                                 let msg = if (id as usize) < backend.engine().records().len() {
-                                    let class = backend
-                                        .engine()
-                                        .classes()
-                                        .into_iter()
-                                        .find(|c| c.contains(&id))
-                                        .unwrap_or_else(|| vec![id]);
-                                    Json::Obj(vec![
-                                        ("ok".into(), Json::Bool(true)),
+                                    let class = backend.engine().class_of(id);
+                                    ok_json(vec![
                                         ("id".into(), Json::Num(id as f64)),
                                         (
                                             "class".into(),
@@ -1133,7 +1180,6 @@ pub fn serve(
                                         ),
                                         ("seq".into(), Json::Num(last_seq(&backend) as f64)),
                                     ])
-                                    .to_string()
                                 } else {
                                     err_json(&format!(
                                         "record id {id} out of range ({} records)",
@@ -1168,14 +1214,7 @@ pub fn serve(
                                                 ("b".into(), Json::Num(e.b as f64)),
                                                 (
                                                     "rule".into(),
-                                                    Json::Str(
-                                                        rule_names
-                                                            .get(e.rule_id as usize)
-                                                            .cloned()
-                                                            .unwrap_or_else(|| {
-                                                                format!("rule-{}", e.rule_id)
-                                                            }),
-                                                    ),
+                                                    Json::Str(rule_name(&rule_names, e.rule_id)),
                                                 ),
                                                 ("rule_id".into(), Json::Num(e.rule_id as f64)),
                                                 ("pass".into(), Json::Num(e.pass as f64)),
@@ -1190,15 +1229,13 @@ pub fn serve(
                                             ])
                                         })
                                         .collect();
-                                    Json::Obj(vec![
-                                        ("ok".into(), Json::Bool(true)),
+                                    ok_json(vec![
                                         ("a".into(), Json::Num(a as f64)),
                                         ("b".into(), Json::Num(b as f64)),
                                         ("connected".into(), Json::Bool(chain.is_some())),
                                         ("chain".into(), Json::Arr(evidence)),
                                         ("seq".into(), Json::Num(last_seq(&backend) as f64)),
                                     ])
-                                    .to_string()
                                 };
                                 let _ = reply.send(msg);
                             }
@@ -1219,34 +1256,15 @@ pub fn serve(
                                     let _snap_span = span_labeled(recorder, "batch", || {
                                         format!("trace={trace_id} snapshot")
                                     });
-                                    match backend.checkpoint(recorder, obs) {
-                                        Ok(bytes) => {
-                                            obs.event(
-                                                Level::Info,
-                                                "checkpoint_written",
-                                                vec![
-                                                    ("bytes".into(), Json::Num(bytes as f64)),
-                                                    (
-                                                        "trigger".into(),
-                                                        Json::Str("snapshot-cmd".into()),
-                                                    ),
-                                                ],
-                                            );
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
-                                                ("bytes".into(), Json::Num(bytes as f64)),
-                                            ])
-                                            .to_string()
-                                        }
-                                        Err(e) => {
-                                            obs.event(
-                                                Level::Error,
-                                                "checkpoint_failed",
-                                                vec![("error".into(), Json::Str(e.to_string()))],
-                                            );
-                                            err_json(&format!("snapshot failed: {e}"))
-                                        }
-                                    }
+                                    checkpoint_reply(
+                                        logged_checkpoint(
+                                            &mut backend,
+                                            recorder,
+                                            obs,
+                                            "snapshot-cmd",
+                                        ),
+                                        "snapshot",
+                                    )
                                 };
                                 flight.record(
                                     trace_id.clone(),
@@ -1277,31 +1295,10 @@ pub fn serve(
                                     };
                                     let _ = sender.send(err_json("shutting-down"));
                                 }
-                                let msg = match backend.checkpoint(recorder, obs) {
-                                    Ok(bytes) => {
-                                        obs.event(
-                                            Level::Info,
-                                            "checkpoint_written",
-                                            vec![
-                                                ("bytes".into(), Json::Num(bytes as f64)),
-                                                ("trigger".into(), Json::Str("shutdown".into())),
-                                            ],
-                                        );
-                                        Json::Obj(vec![
-                                            ("ok".into(), Json::Bool(true)),
-                                            ("bytes".into(), Json::Num(bytes as f64)),
-                                        ])
-                                        .to_string()
-                                    }
-                                    Err(e) => {
-                                        obs.event(
-                                            Level::Error,
-                                            "checkpoint_failed",
-                                            vec![("error".into(), Json::Str(e.to_string()))],
-                                        );
-                                        err_json(&format!("final snapshot failed: {e}"))
-                                    }
-                                };
+                                let msg = checkpoint_reply(
+                                    logged_checkpoint(&mut backend, recorder, obs, "shutdown"),
+                                    "final snapshot",
+                                );
                                 publish_gauges(&backend, obs, &rule_names);
                                 let _ = reply.send(msg);
                                 clean = true;
@@ -1313,23 +1310,8 @@ pub fn serve(
                         // Channel closed without an explicit shutdown job
                         // (signal path): still leave a snapshot behind.
                         obs.set_accepting(false);
-                        match backend.checkpoint(recorder, obs) {
-                            Ok(bytes) => obs.event(
-                                Level::Info,
-                                "checkpoint_written",
-                                vec![
-                                    ("bytes".into(), Json::Num(bytes as f64)),
-                                    ("trigger".into(), Json::Str("signal".into())),
-                                ],
-                            ),
-                            Err(e) => {
-                                eprintln!("mergepurge serve: final checkpoint failed: {e}");
-                                obs.event(
-                                    Level::Error,
-                                    "checkpoint_failed",
-                                    vec![("error".into(), Json::Str(e.to_string()))],
-                                );
-                            }
+                        if let Err(e) = logged_checkpoint(&mut backend, recorder, obs, "signal") {
+                            eprintln!("mergepurge serve: final checkpoint failed: {e}");
                         }
                     }
                     // Final sweep so a `--trace` dump written after exit
@@ -1343,45 +1325,47 @@ pub fn serve(
                 })
                 .expect("spawn engine worker");
 
-            // TCP accept thread: same poll loop as the Unix one below,
-            // same per-connection threads, same dispatch.
-            if let Some(tcp) = tcp_listener {
-                let tcp_tx = tx.clone();
-                scope.spawn(move || {
-                    while !SHUTDOWN.load(Ordering::SeqCst) {
-                        match tcp.accept() {
-                            Ok((stream, _)) => {
-                                let _ = stream.set_read_timeout(Some(POLL));
-                                let tx = tcp_tx.clone();
-                                scope
-                                    .spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(25));
-                            }
-                            Err(e) => {
-                                eprintln!("mergepurge serve: tcp accept failed: {e}");
-                                break;
-                            }
+            // Accept loop over both listeners: a pending connection wakes
+            // the wait at once, and the shutdown flag is re-checked at
+            // least every ACCEPT_WAIT. Each connection gets its own thread;
+            // both transports share framing and dispatch.
+            let tcp_fd = tcp_listener.as_ref().map_or(-1, AsRawFd::as_raw_fd);
+            let mut fds = [listener.as_raw_fd(), tcp_fd];
+            while !SHUTDOWN.load(Ordering::SeqCst) {
+                let [unix_ready, tcp_ready] = match wait_readable(fds, ACCEPT_WAIT) {
+                    Ok(ready) => ready,
+                    Err(e) => {
+                        eprintln!("mergepurge serve: accept wait failed: {e}");
+                        break;
+                    }
+                };
+                if unix_ready {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            let _ = stream.set_read_timeout(Some(POLL));
+                            let tx = tx.clone();
+                            scope.spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                        Err(e) => {
+                            eprintln!("mergepurge serve: accept failed: {e}");
+                            break;
                         }
                     }
-                });
-            }
-
-            // Accept loop: poll so the shutdown flag is honored promptly.
-            while !SHUTDOWN.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_read_timeout(Some(POLL));
-                        let tx = tx.clone();
-                        scope.spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => {
-                        eprintln!("mergepurge serve: accept failed: {e}");
-                        break;
+                }
+                if let (true, Some(tcp)) = (tcp_ready, &tcp_listener) {
+                    match tcp.accept() {
+                        Ok((stream, _)) => {
+                            let _ = stream.set_read_timeout(Some(POLL));
+                            let tx = tx.clone();
+                            scope.spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                        Err(e) => {
+                            // Only the TCP transport stops; the socket serves on.
+                            eprintln!("mergepurge serve: tcp accept failed: {e}");
+                            fds[1] = -1;
+                        }
                     }
                 }
             }
@@ -1423,6 +1407,14 @@ fn last_seq(backend: &Backend) -> u64 {
     backend.next_seq().saturating_sub(1)
 }
 
+/// The theory's name for rule `id`, or `rule-<id>` past the name table.
+fn rule_name(rule_names: &[String], id: u32) -> String {
+    rule_names
+        .get(id as usize)
+        .cloned()
+        .unwrap_or_else(|| format!("rule-{id}"))
+}
+
 /// Copies the engine-owned gauges and the match-quality view into the
 /// shared observability state.
 fn publish_gauges(backend: &Backend, obs: &ObsState, rule_names: &[String]) {
@@ -1448,13 +1440,7 @@ fn publish_gauges(backend: &Backend, obs: &ObsState, rule_names: &[String]) {
         rules: firings
             .iter()
             .enumerate()
-            .map(|(i, &f)| {
-                let name = rule_names
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| format!("rule-{i}"));
-                (name, f)
-            })
+            .map(|(i, &f)| (rule_name(rule_names, i as u32), f))
             .collect(),
     });
 }
@@ -1490,10 +1476,9 @@ fn handle_conn(
     flight: &FlightRecorder,
 ) {
     loop {
-        let frame = match read_frame_with_shutdown(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean EOF or shutdown
-            Err(_) => return,
+        // Clean EOF, shutdown, or a broken frame: drop the connection.
+        let Ok(Some(frame)) = read_frame_with_shutdown(&mut stream) else {
+            return;
         };
         let response = dispatch(&frame, tx, obs, recorder, flight);
         if write_frame(&mut stream, &response).is_err() {
@@ -1594,20 +1579,16 @@ fn dispatch(
         "snapshot" => enqueue_and_wait(tx, obs, Job::Snapshot),
         // Probes and scrapes never touch the worker queue: they must
         // answer even when the engine is busy or backed up.
-        "metrics" => Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
+        "metrics" => ok_json(vec![
             ("format".into(), Json::Str("prometheus-0.0.4".into())),
             ("exposition".into(), Json::Str(obs.exposition(recorder))),
-        ])
-        .to_string(),
-        "trace" => Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
+        ]),
+        "trace" => ok_json(vec![
             ("format".into(), Json::Str("chrome-trace-json".into())),
             ("entries".into(), Json::Num(flight.len() as f64)),
             ("pinned".into(), Json::Num(flight.pinned_len() as f64)),
             ("trace".into(), Json::Str(flight.chrome_json())),
-        ])
-        .to_string(),
+        ]),
         "healthz" => obs.healthz_json(),
         "readyz" => obs.readyz_json(),
         "shutdown" => {
@@ -1657,8 +1638,6 @@ fn stats_json(
     rule_names: &[String],
 ) -> String {
     let engine = backend.engine();
-    let classes = engine.classes();
-    let duplicates: usize = classes.iter().map(|c| c.len() - 1).sum();
     let passes = engine
         .pass_counters()
         .into_iter()
@@ -1685,8 +1664,14 @@ fn stats_json(
             "distinct_pairs".into(),
             Json::Num(engine.pairs().len() as f64),
         ),
-        ("duplicate_groups".into(), Json::Num(classes.len() as f64)),
-        ("duplicate_records".into(), Json::Num(duplicates as f64)),
+        (
+            "duplicate_groups".into(),
+            Json::Num(engine.cluster_sizes().cluster_count() as f64),
+        ),
+        (
+            "duplicate_records".into(),
+            Json::Num((engine.records().len() - engine.set_count()) as f64),
+        ),
         ("passes".into(), Json::Arr(passes)),
     ]);
     let report = recorder.report();
@@ -1743,15 +1728,7 @@ fn stats_json(
         .enumerate()
         .map(|(i, &f)| {
             Json::Obj(vec![
-                (
-                    "rule".into(),
-                    Json::Str(
-                        rule_names
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("rule-{i}")),
-                    ),
-                ),
+                ("rule".into(), Json::Str(rule_name(rule_names, i as u32))),
                 ("rule_id".into(), Json::Num(i as f64)),
                 ("firings".into(), Json::Num(f as f64)),
             ])
@@ -1770,7 +1747,6 @@ fn stats_json(
         ("selectivity_5m".into(), Json::Num(obs.selectivity(300))),
     ]);
     let mut reply = vec![
-        ("ok".into(), Json::Bool(true)),
         ("schema".into(), Json::Num(6.0)),
         ("seq".into(), Json::Num(last_seq(backend) as f64)),
         ("store".into(), store),
@@ -1783,7 +1759,7 @@ fn stats_json(
     if let Some(shards) = obs.shards_json() {
         reply.push(("shards".into(), shards));
     }
-    Json::Obj(reply).to_string()
+    ok_json(reply)
 }
 
 // ---- framing ---------------------------------------------------------
@@ -1809,10 +1785,14 @@ pub fn write_frame(stream: &mut impl Write, payload: &str) -> io::Result<()> {
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+        Ok(()) => read_payload(stream, len_buf).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
     }
+}
+
+/// Reads the payload a frame's little-endian length prefix announces.
+fn read_payload(stream: &mut impl Read, len_buf: [u8; 4]) -> io::Result<String> {
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -1822,9 +1802,7 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
     }
     let mut payload = vec![0u8; len as usize];
     stream.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Like [`read_frame`], but treats read timeouts as "check the shutdown
@@ -1835,20 +1813,7 @@ fn read_frame_with_shutdown(stream: &mut impl Read) -> io::Result<Option<String>
     loop {
         let mut len_buf = [0u8; 4];
         match stream.read_exact(&mut len_buf) {
-            Ok(()) => {
-                let len = u32::from_le_bytes(len_buf);
-                if len > MAX_FRAME {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "oversized frame",
-                    ));
-                }
-                let mut payload = vec![0u8; len as usize];
-                stream.read_exact(&mut payload)?;
-                return String::from_utf8(payload)
-                    .map(Some)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-            }
+            Ok(()) => return read_payload(stream, len_buf).map(Some),
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -1871,14 +1836,7 @@ fn read_frame_with_shutdown(stream: &mut impl Read) -> io::Result<Option<String>
 /// Connection or framing failures, or a connection the daemon closed
 /// without replying.
 pub fn request(socket: &Path, payload: &str) -> io::Result<String> {
-    let mut stream = UnixStream::connect(socket)?;
-    write_frame(&mut stream, payload)?;
-    read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "daemon closed without replying",
-        )
-    })
+    round_trip(UnixStream::connect(socket)?, payload)
 }
 
 /// Sends one request frame over TCP to a daemon started with `--listen`
@@ -1889,7 +1847,11 @@ pub fn request(socket: &Path, payload: &str) -> io::Result<String> {
 /// Connection or framing failures, or a connection the daemon closed
 /// without replying.
 pub fn request_tcp(addr: &str, payload: &str) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
+    round_trip(TcpStream::connect(addr)?, payload)
+}
+
+/// One request frame out, one response frame back.
+fn round_trip(mut stream: impl Read + Write, payload: &str) -> io::Result<String> {
     write_frame(&mut stream, payload)?;
     read_frame(&mut stream)?.ok_or_else(|| {
         io::Error::new(
@@ -1918,6 +1880,42 @@ pub fn ingest_request(records: &[Record]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn readiness_wait_wakes_on_a_pending_connection_and_times_out_without_one() {
+        let unix_path = std::env::temp_dir().join(format!("mp-wait-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&unix_path);
+        let unix = UnixListener::bind(&unix_path).unwrap();
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        let fds = [unix.as_raw_fd(), tcp.as_raw_fd()];
+        let timed = |fds: [RawFd; 2], timeout: Duration| {
+            let t = Instant::now();
+            (wait_readable(fds, timeout).unwrap(), t.elapsed())
+        };
+
+        // Nothing pending: not ready, and only after the timeout.
+        let (ready, took) = timed(fds, Duration::from_millis(50));
+        assert!(ready == [false, false] && took >= Duration::from_millis(45));
+
+        // A pending connection wakes a 5 s wait long before its timeout,
+        // and only its own slot reports ready; a -1 slot is ignored.
+        let _tcp_client = TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        let (ready, took) = timed(fds, Duration::from_secs(5));
+        assert!(
+            ready == [false, true] && took < Duration::from_secs(1),
+            "{took:?}"
+        );
+        assert_eq!(timed([-1, fds[1]], Duration::from_secs(5)).0, [false, true]);
+        let _ = tcp.accept().unwrap();
+        let _unix_client = UnixStream::connect(&unix_path).unwrap();
+        let (ready, took) = timed(fds, Duration::from_secs(5));
+        assert!(
+            ready == [true, false] && took < Duration::from_secs(1),
+            "{took:?}"
+        );
+        let _ = std::fs::remove_file(&unix_path);
+    }
 
     #[test]
     fn frame_round_trip() {

@@ -15,13 +15,15 @@
 //!   first batch), loadable directly in Perfetto.
 //!
 //! Everything else is 404. Connections are `Connection: close`; the
-//! accept loop is nonblocking and polls the daemon's shutdown flag, so
-//! the thread exits promptly on SIGTERM.
+//! accept loop blocks in the daemon's readiness wait (`poll(2)`), which
+//! wakes on a pending connection and times out every 25 ms to re-check
+//! the shutdown flag, so the thread exits promptly on SIGTERM.
 
 use super::obs::ObsState;
 use mp_metrics::{FlightRecorder, MetricsRecorder};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -39,17 +41,26 @@ pub fn serve_http(
         eprintln!("mergepurge serve: metrics listener: cannot set nonblocking; disabled");
         return;
     }
+    let fd = listener.as_raw_fd();
     while !shutdown.load(Ordering::SeqCst) {
+        match super::wait_readable([fd], super::ACCEPT_WAIT) {
+            Ok([true]) => {}
+            Ok([false]) => continue,
+            Err(_) => {
+                std::thread::sleep(super::ACCEPT_WAIT);
+                continue;
+            }
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 // Serve inline: scrapes are small, rare (seconds apart),
                 // and must not outlive the daemon's thread scope.
                 let _ = handle(stream, obs, recorder, flight);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            // A persistent failure (say, out of fds) keeps the listener
+            // readable: back off instead of spinning.
+            Err(_) => std::thread::sleep(super::ACCEPT_WAIT),
         }
     }
 }
