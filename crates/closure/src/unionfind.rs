@@ -6,9 +6,7 @@
 /// Alongside the forest it keeps a cyclic *member ring* (`next`): every set
 /// is one cycle of `next` pointers, so [`UnionFind::class_of`] lists a
 /// single class in O(|class|) without touching the rest of the forest.
-/// The ring costs 4 bytes per element and is derived state — it is not
-/// part of the [`UnionFind::encode_into`] encoding and is rebuilt by
-/// [`UnionFind::decode`].
+/// The ring costs 4 bytes per element.
 ///
 /// Ids are `u32` because the paper's closure operates on "pairs of tuple
 /// id's, each at most 30 bits" (§3.3); four billion records is comfortably
@@ -71,91 +69,6 @@ impl UnionFind {
         self.rank.resize(n, 0);
         self.next.extend(old as u32..n as u32);
         self.sets += n - old;
-    }
-
-    /// Serializes the forest into `out` as a little-endian byte stream
-    /// (`n`, then parents, then ranks). The encoding captures the *current*
-    /// forest shape — paths already compressed stay compressed — so
-    /// [`UnionFind::decode`] reproduces identical connectivity and identical
-    /// future behavior. Used by the durable match store (`mp-store`) to
-    /// checkpoint closure state.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(4 + self.parent.len() * 5);
-        out.extend_from_slice(&(self.parent.len() as u32).to_le_bytes());
-        for &p in &self.parent {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out.extend_from_slice(&self.rank);
-    }
-
-    /// Reconstructs a forest serialized by [`UnionFind::encode_into`].
-    /// Validates structure (every parent in range, byte length exact) and
-    /// recomputes the set count from the root count rather than trusting
-    /// the input. The member ring is rebuilt in O(n) from the validated
-    /// parents (walks are bounded by the ≤ 255 strictly increasing ranks).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem found.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < 4 {
-            return Err("union-find blob shorter than its length header".into());
-        }
-        let n = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        let want = 4 + n * 4 + n;
-        if bytes.len() != want {
-            return Err(format!(
-                "union-find blob length {} != expected {want} for n={n}",
-                bytes.len()
-            ));
-        }
-        let mut parent = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 4 + i * 4;
-            let p = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if p as usize >= n {
-                return Err(format!("parent {p} of element {i} out of range (n={n})"));
-            }
-            parent.push(p);
-        }
-        let rank = bytes[4 + n * 4..].to_vec();
-        // Union-by-rank invariant: rank strictly increases along parent
-        // pointers (path halving only ever re-points to a higher ancestor).
-        // Checking it rules out cycles, so a corrupt blob that slipped past
-        // the store's CRCs cannot make `find` spin forever.
-        for (i, &p) in parent.iter().enumerate() {
-            if p as usize != i && rank[p as usize] <= rank[i] {
-                return Err(format!(
-                    "rank does not increase from element {i} (rank {}) to parent {p} (rank {})",
-                    rank[i], rank[p as usize]
-                ));
-            }
-        }
-        let sets = parent
-            .iter()
-            .enumerate()
-            .filter(|&(i, &p)| i == p as usize)
-            .count();
-        // Splice every non-root in right after its root: each set becomes
-        // one cycle through its root. Read-only walks keep the decoded
-        // forest shape (and so the re-encoded bytes) exactly as stored.
-        let mut next: Vec<u32> = (0..n as u32).collect();
-        for x in 0..n {
-            let mut r = x;
-            while parent[r] as usize != r {
-                r = parent[r] as usize;
-            }
-            if r != x {
-                next[x] = next[r];
-                next[r] = x as u32;
-            }
-        }
-        Ok(UnionFind {
-            parent,
-            rank,
-            next,
-            sets,
-        })
     }
 
     /// True when the id space is empty.
@@ -362,74 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip_preserves_everything() {
-        let mut uf = UnionFind::new(10);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(7, 8);
-        let mut blob = Vec::new();
-        uf.encode_into(&mut blob);
-        let mut back = UnionFind::decode(&blob).unwrap();
-        assert_eq!(back.len(), uf.len());
-        assert_eq!(back.set_count(), uf.set_count());
-        assert_eq!(back.classes(), uf.classes());
-        // The decoded forest keeps working: future unions behave normally.
-        assert!(back.union(2, 7));
-        assert!(back.connected(0, 8));
-    }
-
-    #[test]
-    fn decode_rejects_corrupt_blobs() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 1);
-        let mut blob = Vec::new();
-        uf.encode_into(&mut blob);
-
-        assert!(UnionFind::decode(&blob[..3]).is_err(), "short header");
-        assert!(
-            UnionFind::decode(&blob[..blob.len() - 1]).is_err(),
-            "truncated body"
-        );
-        let mut bad_parent = blob.clone();
-        bad_parent[4] = 200; // parent out of range
-        assert!(UnionFind::decode(&bad_parent).is_err());
-        // A two-cycle (0→1, 1→0) with equal ranks violates the rank
-        // invariant and must be rejected rather than looping forever.
-        let mut cycle = Vec::new();
-        UnionFind::new(2).encode_into(&mut cycle);
-        cycle[4..8].copy_from_slice(&1u32.to_le_bytes());
-        cycle[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(UnionFind::decode(&cycle).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_a_long_cycle_and_rebuilds_the_ring_in_n_entries() {
-        // 0→1→2→0 cannot have strictly increasing ranks all the way round,
-        // so the rank check rejects it before the ring walk could spin.
-        let mut cycle = Vec::new();
-        UnionFind::new(3).encode_into(&mut cycle);
-        for (i, p) in [1u32, 2, 0].into_iter().enumerate() {
-            cycle[4 + i * 4..8 + i * 4].copy_from_slice(&p.to_le_bytes());
-        }
-        cycle[16..19].copy_from_slice(&[0, 1, 2]);
-        assert!(UnionFind::decode(&cycle).unwrap_err().contains("rank"));
-
-        let mut uf = UnionFind::new(1000);
-        for i in 0..999 {
-            uf.union(i, i + 1);
-        }
-        let mut blob = Vec::new();
-        uf.encode_into(&mut blob);
-        let back = UnionFind::decode(&blob).unwrap();
-        assert_eq!(back.next.len(), 1000);
-        assert!(back.next.capacity() <= 1000, "ring over-allocated");
-        assert_eq!(back.class_of(500), (0..1000).collect::<Vec<u32>>());
-        let mut again = Vec::new();
-        back.encode_into(&mut again);
-        assert_eq!(again, blob, "decode must not reshape the forest");
-    }
-
-    #[test]
     fn empty_universe() {
         let mut uf = UnionFind::new(0);
         assert!(uf.is_empty());
@@ -471,7 +316,7 @@ mod tests {
         }
 
         #[test]
-        fn class_of_matches_classes_through_grow_and_round_trips(
+        fn class_of_matches_classes_through_grow(
             n in 1usize..30,
             extra in 0usize..10,
             before in proptest::collection::vec((0u32..40, 0u32..40), 0..40),
@@ -500,14 +345,10 @@ mod tests {
                 uf.union(a % m as u32, b % m as u32);
             }
             check(&uf);
-            let mut blob = Vec::new();
-            uf.encode_into(&mut blob);
-            let mut back = UnionFind::decode(&blob).unwrap();
-            check(&back);
             for (a, b) in after {
-                back.union(a % m as u32, b % m as u32);
+                uf.union(a % m as u32, b % m as u32);
             }
-            check(&back);
+            check(&uf);
         }
 
         #[test]

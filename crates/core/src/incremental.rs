@@ -131,6 +131,9 @@ pub struct IncrementalMergePurge {
     comparisons: u64,
     /// Number of batches folded in so far.
     batches_applied: u64,
+    /// Contiguous key bands every window scan is split across (see
+    /// [`IncrementalMergePurge::add_batch_sharded`]); never changes state.
+    bands: usize,
 }
 
 impl Default for IncrementalMergePurge {
@@ -153,7 +156,23 @@ impl IncrementalMergePurge {
             last_batch_largest_merge: None,
             comparisons: 0,
             batches_applied: 0,
+            bands: 1,
         }
+    }
+
+    /// Splits every window scan of [`add_batch`](Self::add_batch) (and so
+    /// of durable ingest and journal replay) across `bands` key bands on
+    /// scoped threads. The band count is parallelism only: any count
+    /// reaches bit-identical state, so it may change between runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bands` is 0.
+    #[must_use]
+    pub fn bands(mut self, bands: usize) -> Self {
+        assert!(bands >= 1, "need at least one band");
+        self.bands = bands;
+        self
     }
 
     /// Disables merge-lineage recording: scans skip rule attribution and
@@ -282,19 +301,20 @@ impl IncrementalMergePurge {
     }
 
     /// Ingests a batch: renumbers its records to follow the base, splices
-    /// it into every pass's order, and scans only new-involving pairs.
+    /// it into every pass's order, and scans only new-involving pairs, in
+    /// the configured number of [`bands`](Self::bands).
     ///
     /// # Panics
     ///
     /// Panics when no passes are configured.
     pub fn add_batch(&mut self, batch: Vec<Record>, theory: &dyn EquationalTheory) {
-        self.add_batch_sharded(batch, theory, 1, &NoopObserver);
+        self.add_batch_sharded(batch, theory, self.bands, &NoopObserver);
     }
 
-    /// Like [`add_batch`](Self::add_batch), but splits every pass's window
-    /// scan across `shards` contiguous key bands evaluated on scoped
-    /// threads, then folds the banded results back in band order — the
-    /// cross-shard reconciliation step.
+    /// [`add_batch`](Self::add_batch) with an explicit band count and an
+    /// observer: splits every pass's window scan across `shards`
+    /// contiguous key bands evaluated on scoped threads, then folds the
+    /// banded results back in band order — the reconciliation step.
     ///
     /// **Equivalence**: a window pair `(prev, i)` is owned by the band that
     /// contains the *later* position `i`; the scan's backward window
@@ -475,11 +495,9 @@ impl IncrementalMergePurge {
                     pairs_found: p.pairs_found,
                     pairs_first_found: p.pairs_first_found,
                     keys: p.keys.clone(),
-                    order: p.order.clone(),
                 })
                 .collect(),
             pairs: self.pairs.sorted(),
-            closure: self.closure.clone(),
             provenance: self.provenance.clone(),
             comparisons: self.comparisons,
             batches_applied: self.batches_applied,
@@ -491,6 +509,13 @@ impl IncrementalMergePurge {
     /// (same count, key names, and windows, in order): the snapshot stores
     /// key *names*, not key functions, so the caller supplies the same
     /// [`KeySpec`]s the snapshot was built with.
+    ///
+    /// Derived state is rebuilt, not read: each pass's order is the stable
+    /// `(key, id)` sort of its keys — the order batch splicing maintains,
+    /// since ties keep old (smaller) ids first — and the closure is the
+    /// union of the pair set. Union-find classes depend only on the pair
+    /// partition, never on union order, so every answer derived from them
+    /// is unchanged.
     ///
     /// # Errors
     ///
@@ -522,21 +547,25 @@ impl IncrementalMergePurge {
                     p.window, s.window
                 ));
             }
+            p.order = (0..s.keys.len() as u32).collect();
+            let keys = &s.keys;
+            p.order.sort_unstable_by(|&a, &b| {
+                chunked_str_cmp(&keys[a as usize], &keys[b as usize]).then(a.cmp(&b))
+            });
             p.keys = s.keys;
-            p.order = s.order;
             p.pairs_found = s.pairs_found;
             p.pairs_first_found = s.pairs_first_found;
         }
         self.records = snap.records;
         let mut pairs = PairSet::with_capacity(snap.pairs.len());
+        let mut closure = UnionFind::new(self.records.len());
         for &(a, b) in &snap.pairs {
             pairs.insert(a, b);
+            closure.union(a, b);
         }
         self.pairs = pairs;
-        self.closure = snap.closure;
+        self.closure = closure;
         self.provenance = snap.provenance;
-        // Sizes are a pure function of the closure; recomputing keeps the
-        // snapshot format free of derived state.
         self.cluster_sizes = ClusterSizes::rebuild(&self.closure);
         self.comparisons = snap.comparisons;
         self.batches_applied = snap.batches_applied;
@@ -846,7 +875,10 @@ impl DurableIncremental {
         observer: &dyn PipelineObserver,
     ) -> Result<u64, StoreError> {
         let _ingest = span(observer, "ingest");
-        let seq = self.store.append_batch(&batch, trace)?;
+        let seq = {
+            let _append = span(observer, "journal_append");
+            self.store.append_batch(&batch, trace)?
+        };
         apply_observed(&mut self.engine, batch, theory, observer);
         if let Some(t) = trace {
             self.engine.note_batch_trace(t);
@@ -931,8 +963,9 @@ impl DurableIncremental {
     }
 }
 
-/// Applies a batch and reports the comparison/match deltas to `observer`,
-/// so durable ingest and journal replay feed `--stats` identically.
+/// Applies a batch in the engine's band count and reports the
+/// comparison/match deltas to `observer`, so durable ingest and journal
+/// replay feed `--stats` (and the per-band `shard_scan` spans) identically.
 fn apply_observed(
     engine: &mut IncrementalMergePurge,
     batch: Vec<Record>,
@@ -940,24 +973,7 @@ fn apply_observed(
     observer: &dyn PipelineObserver,
 ) {
     let (comparisons0, found0, keyed0) = observed_totals(engine);
-    engine.add_batch(batch, theory);
-    report_deltas(engine, observer, comparisons0, found0, keyed0);
-}
-
-/// Sharded twin of `apply_observed`: same counter deltas, with the
-/// window scans banded across `shards` via
-/// [`IncrementalMergePurge::add_batch_sharded`]. Sharded daemon ingest and
-/// sharded journal replay both route through this so observability is
-/// identical on either path.
-pub fn apply_observed_sharded(
-    engine: &mut IncrementalMergePurge,
-    batch: Vec<Record>,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-    shards: usize,
-) {
-    let (comparisons0, found0, keyed0) = observed_totals(engine);
-    engine.add_batch_sharded(batch, theory, shards, observer);
+    engine.add_batch_sharded(batch, theory, engine.bands, observer);
     report_deltas(engine, observer, comparisons0, found0, keyed0);
 }
 
@@ -1111,9 +1127,12 @@ mod tests {
         }
         for shards in [1usize, 2, 3, 5, 8] {
             let mut sharded = two_pass(IncrementalMergePurge::new());
+            let mut banded = two_pass(IncrementalMergePurge::new()).bands(shards);
             for b in &parts {
                 sharded.add_batch_sharded(b.clone(), &theory, shards, &obs);
+                banded.add_batch(b.clone(), &theory);
             }
+            assert_eq!(fingerprint(&banded), fingerprint(&serial), "bands={shards}");
             assert_eq!(
                 fingerprint(&sharded),
                 fingerprint(&serial),
@@ -1317,6 +1336,14 @@ mod tests {
                 prop_assert_eq!(fast.provenance(), dense.provenance());
                 prop_assert_eq!(fast.classes(), dense.classes());
             }
+            // Restore rebuilds every order (ties included) and the closure
+            // from keys and pairs alone.
+            let restored = engine().restore(fast.to_snapshot()).unwrap();
+            for (r, f) in restored.passes.iter().zip(&fast.passes) {
+                prop_assert_eq!(&r.order, &f.order);
+            }
+            prop_assert_eq!(fingerprint(&restored), fingerprint(&fast));
+            prop_assert_eq!(restored.classes(), fast.classes());
         }
 
         /// The O(1) class counts and the O(|class|) `class_of` agree with
@@ -1464,6 +1491,9 @@ mod tests {
             .unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(a.classes(), b.classes());
+        for (pa, pb) in a.passes.iter().zip(&b.passes) {
+            assert_eq!(pa.order, pb.order, "restore rebuilds the maintained order");
+        }
         // The restored engine folds the next batch exactly like the original.
         a.add_batch(parts[3].clone(), &theory);
         b.add_batch(parts[3].clone(), &theory);

@@ -15,7 +15,7 @@
 //! the same file to `IncrementalMergePurge::add_batch` as one batch
 //! (condition off, exactly like daemon ingest): same pairs, same
 //! comparison count, same per-pass `pairs_found`/`pairs_first_found`
-//! attribution, same closure classes, same per-pass key order. The
+//! attribution, same closure classes, same per-pass keys. The
 //! ingredients, mirroring the run-merge invariants in the crate docs:
 //!
 //! * record ids are positional (`RecordStream` assigns them), so the
@@ -32,8 +32,8 @@
 //! restarted daemon cannot distinguish from one built by ingesting the
 //! whole file as a single batch — `batches_applied` is 1 by definition.
 //!
-//! What stays in memory: per-pass keys and order (a few dozen bytes per
-//! record), the pair set, and the union-find — never the records
+//! What stays in memory: per-pass keys (a few dozen bytes per record),
+//! the pair set, and the union-find — never the records
 //! themselves. Peak record residency is `memory_records` during run
 //! formation and `window` during the scan.
 
@@ -51,8 +51,8 @@ use std::path::Path;
 use std::time::Instant;
 
 /// One pass's reconstructed state, field-for-field what the durable
-/// snapshot stores per pass (`keys` indexed by record id, `order` the
-/// sorted permutation).
+/// snapshot stores per pass (`keys` indexed by record id; the sorted
+/// order is derived from them on restore).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BulkPass {
     /// The pass key's name (`KeySpec::name`).
@@ -65,8 +65,6 @@ pub struct BulkPass {
     pub pairs_first_found: u64,
     /// Extracted key per record, indexed by record id.
     pub keys: Vec<String>,
-    /// Record ids in (key, id) order.
-    pub order: Vec<u32>,
 }
 
 /// Aggregate accounting for one bulk load.
@@ -235,7 +233,6 @@ impl BulkLoader {
                 pairs_found: 0,
                 pairs_first_found: 0,
                 keys: vec![String::new(); sorted.records],
-                order: Vec::with_capacity(sorted.records),
             };
             observer.add(Counter::RecordsKeyed, sorted.records as u64);
 
@@ -252,7 +249,6 @@ impl BulkLoader {
                 io_read += 1;
                 let id = record.id.0;
                 pass.keys[id as usize] = run_key;
-                pass.order.push(id);
                 for p in &prev {
                     comparisons += 1;
                     if theory.matches(p, &record) {
@@ -356,7 +352,6 @@ mod tests {
                     assert_eq!(b.pairs_found, s.pairs_found, "{tag}");
                     assert_eq!(b.pairs_first_found, s.pairs_first_found, "{tag}");
                     assert_eq!(b.keys, s.keys, "{tag}");
-                    assert_eq!(b.order, s.order, "{tag}");
                 }
             }
         }

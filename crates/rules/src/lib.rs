@@ -80,7 +80,6 @@
 //! ```
 
 pub mod ast;
-pub mod baseline;
 pub mod builtins;
 pub(crate) mod compile;
 pub mod display;
@@ -97,7 +96,6 @@ pub mod value;
 pub mod vm;
 
 pub use ast::{Expr, Program, PurgeSpec, Rule, Survivorship};
-pub use baseline::AllocatingEmployeeTheory;
 pub use builtins::CostClass;
 pub use display::{print_program, programs_equivalent};
 pub use employee::{employee_program, EMPLOYEE_RULES_SRC};

@@ -66,6 +66,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Skips `n` bytes.
+    pub fn skip(&mut self, n: usize) -> Result<(), String> {
+        self.take(n).map(|_| ())
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
@@ -126,8 +131,10 @@ pub fn put_records(out: &mut Vec<u8>, records: &[Record]) {
 /// Reads a batch written by [`put_records`].
 pub fn take_records(r: &mut Reader<'_>) -> Result<Vec<Record>, String> {
     let n = r.u32()? as usize;
-    // Cap the pre-allocation: `n` is attacker/corruption-controlled.
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
+    // Cap the pre-allocation: `n` is attacker/corruption-controlled, and
+    // an encoded record takes at least 45 bytes (id, entity flag, ten
+    // string lengths).
+    let mut out = Vec::with_capacity(n.min(r.remaining() / 45));
     for _ in 0..n {
         out.push(take_record(r)?);
     }

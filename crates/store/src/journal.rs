@@ -34,17 +34,17 @@
 //! and the journal is immediately appendable again.
 
 use crate::codec::{self, Reader};
-use crate::{fsync_dir, StoreError};
+use crate::{commit_file, StoreError};
 use mp_record::Record;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const JOURNAL_MAGIC: &[u8; 4] = b"MPJL";
 const FRAME_MAGIC: &[u8; 4] = b"MPJF";
 /// Journal format version written into the header.
 pub const JOURNAL_VERSION: u32 = 2;
-const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 const FRAME_HEADER_LEN: usize = 4 + 8 + 8 + 4;
 
 /// One recovered journal frame: the batch, its sequence number, and the
@@ -64,9 +64,10 @@ pub struct JournalBatch {
 pub struct JournalRecovery {
     /// Every intact journaled batch, in sequence order.
     pub batches: Vec<JournalBatch>,
-    /// `(seq, file end offset)` of every intact frame, in scan order. Lets
-    /// a coordinator chop *whole* trailing frames (e.g. orphans of an
-    /// incomplete cross-shard scatter) with [`Journal::truncate_to`].
+    /// `(seq, file end offset)` of every intact frame, in scan order, so a
+    /// reader that drops whole trailing frames (the legacy sharded-store
+    /// conversion drops the orphans of an incomplete scatter) can count
+    /// their bytes.
     pub frame_ends: Vec<(u64, u64)>,
     /// Bytes removed from a torn/corrupt tail (0 on a clean open).
     pub truncated_bytes: u64,
@@ -95,47 +96,8 @@ impl Journal {
     /// module docs; a missing or mangled *header* truncates to an empty
     /// journal (the file is only ever header-less mid-creation).
     pub fn open(path: &Path) -> Result<(Journal, JournalRecovery), StoreError> {
-        let mut recovery = JournalRecovery::default();
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-
-        let mut good_end = 0usize;
-        let mut last_seq: Option<u64> = None;
-        if data.len() >= HEADER_LEN
-            && &data[..4] == JOURNAL_MAGIC
-            && u32::from_le_bytes(data[4..8].try_into().unwrap()) == JOURNAL_VERSION
-        {
-            good_end = HEADER_LEN;
-            loop {
-                let rest = &data[good_end..];
-                if rest.is_empty() {
-                    break;
-                }
-                match Self::scan_frame(rest, last_seq) {
-                    Ok((batch, frame_len)) => {
-                        let seq = batch.seq;
-                        recovery.batches.push(batch);
-                        good_end += frame_len;
-                        recovery.frame_ends.push((seq, good_end as u64));
-                        last_seq = Some(seq);
-                    }
-                    Err(reason) => {
-                        recovery.truncation_reason = Some(reason);
-                        break;
-                    }
-                }
-            }
-        } else if !data.is_empty() {
-            recovery.truncation_reason = Some("journal header missing or mangled".into());
-        }
-
-        recovery.truncated_bytes = (data.len() - good_end) as u64;
+        let data = read_if_exists(path)?;
+        let (recovery, good_end) = Self::scan(&data);
         if recovery.truncated() {
             // Drop the tail on disk, then fall through to the append path.
             let f = OpenOptions::new()
@@ -149,20 +111,48 @@ impl Journal {
 
         let mut file = OpenOptions::new().append(true).create(true).open(path)?;
         if good_end == 0 {
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(JOURNAL_MAGIC);
-            header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-            file.write_all(&header)?;
+            file.write_all(&header())?;
             file.sync_all()?;
         }
+        let next_seq = recovery.batches.last().map_or(1, |b| b.seq + 1);
         Ok((
             Journal {
                 file,
                 path: path.to_path_buf(),
-                next_seq: last_seq.map_or(1, |s| s + 1),
+                next_seq,
             },
             recovery,
         ))
+    }
+
+    /// Scans a journal image without touching the file: every intact
+    /// frame, plus the torn tail (if any) as the bytes past the returned
+    /// end of the last good frame — 0 when even the header is bad.
+    pub(crate) fn scan(data: &[u8]) -> (JournalRecovery, usize) {
+        let mut recovery = JournalRecovery::default();
+        let mut good_end = 0usize;
+        let mut last_seq: Option<u64> = None;
+        if data.len() >= HEADER_LEN && data[..HEADER_LEN] == header() {
+            good_end = HEADER_LEN;
+            while good_end < data.len() {
+                match Self::scan_frame(&data[good_end..], last_seq) {
+                    Ok((batch, frame_len)) => {
+                        good_end += frame_len;
+                        recovery.frame_ends.push((batch.seq, good_end as u64));
+                        last_seq = Some(batch.seq);
+                        recovery.batches.push(batch);
+                    }
+                    Err(reason) => {
+                        recovery.truncation_reason = Some(reason);
+                        break;
+                    }
+                }
+            }
+        } else if !data.is_empty() {
+            recovery.truncation_reason = Some("journal header missing or mangled".into());
+        }
+        recovery.truncated_bytes = (data.len() - good_end) as u64;
+        (recovery, good_end)
     }
 
     /// Parses one frame from `rest`; returns `(batch, total frame bytes)`
@@ -236,22 +226,7 @@ impl Journal {
     /// is returned.
     pub fn append(&mut self, records: &[Record], trace: Option<&str>) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        let mut payload = Vec::new();
-        codec::put_records(&mut payload, records);
-        match trace {
-            None => codec::put_u32(&mut payload, 0),
-            Some(t) => {
-                codec::put_u32(&mut payload, 1);
-                codec::put_str(&mut payload, t);
-            }
-        }
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(FRAME_MAGIC);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all(&frame(seq, records, trace))?;
         self.file.sync_all()?;
         self.next_seq += 1;
         Ok(seq)
@@ -262,32 +237,10 @@ impl Journal {
     /// fsync). Called after a snapshot has made the journaled batches
     /// redundant.
     pub fn reset(&mut self, next_seq: u64) -> Result<(), StoreError> {
-        let tmp = self.path.with_extension("mpj.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(JOURNAL_MAGIC)?;
-            f.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            fsync_dir(dir)?;
-        }
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.next_seq = next_seq;
-        Ok(())
-    }
-
-    /// Truncates the journal back to `end` (a frame boundary from
-    /// [`JournalRecovery::frame_ends`], or the 8-byte header) and sets the
-    /// next sequence number. Used by the sharded store to drop *intact but
-    /// orphaned* trailing frames — frames from a cross-shard scatter that
-    /// never completed on every shard, so the batch was never acknowledged
-    /// and must not replay (and its sequence number will be reused).
-    pub fn truncate_to(&mut self, end: u64, next_seq: u64) -> Result<(), StoreError> {
-        let f = OpenOptions::new().write(true).open(&self.path)?;
-        f.set_len(end)?;
-        f.sync_all()?;
+        commit_file(&self.path, |w| {
+            w.write_all(&header())?;
+            Ok(HEADER_LEN as u64)
+        })?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.next_seq = next_seq;
         Ok(())
@@ -312,6 +265,57 @@ impl Journal {
             }
         }
         Ok(())
+    }
+}
+
+/// The 8-byte file header: magic + version.
+fn header() -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(JOURNAL_MAGIC);
+    h[4..].copy_from_slice(&JOURNAL_VERSION.to_le_bytes());
+    h
+}
+
+/// One encoded frame: header, then the records and the trace tail.
+fn frame(seq: u64, records: &[Record], trace: Option<&str>) -> Vec<u8> {
+    let mut payload = Vec::new();
+    codec::put_records(&mut payload, records);
+    match trace {
+        None => codec::put_u32(&mut payload, 0),
+        Some(t) => {
+            codec::put_u32(&mut payload, 1);
+            codec::put_str(&mut payload, t);
+        }
+    }
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(FRAME_MAGIC);
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Writes a whole journal image — header, then one frame per batch with
+/// its own sequence number and trace — for a caller that commits it by
+/// temp file and rename. Returns the bytes written.
+pub(crate) fn write_image(out: &mut impl Write, batches: &[JournalBatch]) -> std::io::Result<u64> {
+    out.write_all(&header())?;
+    let mut total = HEADER_LEN as u64;
+    for b in batches {
+        let f = frame(b.seq, &b.records, b.trace.as_deref());
+        out.write_all(&f)?;
+        total += f.len() as u64;
+    }
+    Ok(total)
+}
+
+/// The file's bytes, or none when it does not exist.
+pub(crate) fn read_if_exists(path: &Path) -> Result<Vec<u8>, StoreError> {
+    match std::fs::read(path) {
+        Ok(data) => Ok(data),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -420,32 +424,6 @@ mod tests {
         // Replay filtering against the snapshot watermark keeps it.
         assert!(Journal::filter_replayable(&mut rec, 2).is_ok());
         assert_eq!(rec.batches.len(), 1);
-    }
-
-    #[test]
-    fn truncate_to_drops_whole_trailing_frames_and_reuses_seqs() {
-        let path = tmp("chop");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.append(&batch(1, 2), None).unwrap();
-        j.append(&batch(2, 2), None).unwrap();
-        j.append(&batch(3, 2), None).unwrap();
-        drop(j);
-        let (mut j, rec) = Journal::open(&path).unwrap();
-        assert_eq!(rec.frame_ends.len(), 3);
-        assert_eq!(
-            rec.frame_ends.last().unwrap().1,
-            std::fs::metadata(&path).unwrap().len()
-        );
-        // Chop the last frame (an orphan) at its exact boundary.
-        let (seq2, end2) = rec.frame_ends[1];
-        assert_eq!(seq2, 2);
-        j.truncate_to(end2, 3).unwrap();
-        assert_eq!(j.append(&batch(9, 1), None).unwrap(), 3, "seq 3 is reused");
-        drop(j);
-        let (_, rec) = Journal::open(&path).unwrap();
-        assert!(!rec.truncated(), "boundary truncation leaves a clean file");
-        assert_eq!(rec.batches.len(), 3);
-        assert_eq!(rec.batches[2].records, batch(9, 1));
     }
 
     #[test]

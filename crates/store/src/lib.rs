@@ -9,12 +9,14 @@
 //! pair set, and the union-find closure — that must survive process
 //! restarts and crashes mid-batch. This crate is that persistence layer:
 //!
-//! * [`Snapshot`] — a versioned binary checkpoint of the full state, every
-//!   section CRC-32-protected ([`snapshot`] documents the layout);
+//! * [`Snapshot`] — a versioned binary checkpoint of everything that cannot
+//!   be recomputed, every section CRC-32-protected ([`snapshot`] documents
+//!   the layout);
 //! * [`Journal`] — an append-only batch log with torn-tail detection and
 //!   truncation ([`journal`] documents the recovery semantics);
 //! * [`MatchStore`] — the directory-level API tying them together:
-//!   `state = last snapshot + journal replayed`.
+//!   `state = last snapshot + journal replayed`. It also converts a store
+//!   in the retired sharded layout once, on open ([`legacy`]).
 //!
 //! # Crash safety
 //!
@@ -28,7 +30,6 @@
 //!
 //! ```
 //! use mp_store::{MatchStore, Snapshot};
-//! use mp_closure::UnionFind;
 //! use mp_record::{Record, RecordId};
 //!
 //! let dir = std::env::temp_dir().join(format!("mp-store-doc-{}", std::process::id()));
@@ -44,7 +45,6 @@
 //!     records: batch,
 //!     passes: vec![],
 //!     pairs: vec![],
-//!     closure: UnionFind::new(1),
 //!     comparisons: 0,
 //!     batches_applied: 1,
 //!     provenance: mp_closure::ProvenanceLog::new(),
@@ -60,15 +60,14 @@
 //! ```
 
 pub mod codec;
+#[cfg(test)]
+mod decode_fuzz;
 pub mod journal;
-pub mod sharded;
+pub mod legacy;
 pub mod snapshot;
 
 pub use journal::{Journal, JournalBatch, JournalRecovery, JOURNAL_VERSION};
-pub use sharded::{
-    merge_shard_snapshots, split_snapshot, write_shard_snapshot, ShardSnapshot, ShardedLoaded,
-    ShardedStore, MANIFEST_FILE,
-};
+pub use legacy::MANIFEST_FILE;
 pub use snapshot::{
     write_streamed, PassSnapshot, Snapshot, SnapshotStream, SnapshotWriter, SNAPSHOT_VERSION,
 };
@@ -76,7 +75,7 @@ pub use snapshot::{
 use mp_record::Record;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
 /// File name of the snapshot inside a store directory.
@@ -123,6 +122,30 @@ pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Atomically replaces the file at `path`: `write` fills `path.tmp`,
+/// which is fsync'd and renamed into place, then the directory is
+/// fsync'd. A crash leaves the old file (plus a stale temp file
+/// [`MatchStore::open`] removes) or the new one, never a torn write.
+/// Returns what `write` returned (the byte count).
+pub(crate) fn commit_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<u64, StoreError>,
+) -> Result<u64, StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut w = BufWriter::new(File::create(&tmp)?);
+    let bytes = write(&mut w)?;
+    w.into_inner()
+        .map_err(|e| StoreError::Io(e.into_error()))?
+        .sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        fsync_dir(dir)?;
+    }
+    Ok(bytes)
+}
+
 /// Everything [`MatchStore::open`] found on disk.
 #[derive(Debug)]
 pub struct LoadedState {
@@ -152,13 +175,16 @@ impl MatchStore {
     /// Opens (creating if needed) the store at `dir` and loads its state.
     ///
     /// Stale temporary files from interrupted snapshot writes are removed.
-    /// The journal is scanned and torn tails truncated (see
+    /// A store in the retired sharded layout is converted first (see
+    /// [`legacy`]); what the conversion dropped is reported like a torn
+    /// journal tail. The journal is scanned and torn tails truncated (see
     /// [`journal`]); frames already covered by the snapshot are filtered
     /// out of [`LoadedState::replayable`].
     ///
     /// # Errors
     ///
-    /// I/O failures, a corrupt snapshot, or a snapshot/journal sequence gap.
+    /// I/O failures, a corrupt snapshot (or legacy manifest, slice, or
+    /// journal), or a snapshot/journal sequence gap.
     pub fn open(dir: impl AsRef<Path>) -> Result<(MatchStore, LoadedState), StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -170,19 +196,27 @@ impl MatchStore {
         ] {
             let _ = std::fs::remove_file(stale);
         }
+        let dropped = legacy::convert(&dir)?;
 
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        let snapshot = match File::open(&snap_path) {
-            Ok(mut f) => {
-                let mut data = Vec::new();
-                f.read_to_end(&mut data)?;
-                Some(Snapshot::decode(&data)?)
-            }
+        let snapshot = match std::fs::read(dir.join(SNAPSHOT_FILE)) {
+            Ok(data) => Some(Snapshot::decode(&data)?),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
 
         let (mut journal, mut recovery) = Journal::open(&dir.join(JOURNAL_FILE))?;
+        if !dropped.reasons.is_empty() {
+            recovery.truncated_bytes += dropped.bytes;
+            let reasons = recovery.truncation_reason.take().into_iter();
+            recovery.truncation_reason = Some(
+                dropped
+                    .reasons
+                    .into_iter()
+                    .chain(reasons)
+                    .collect::<Vec<_>>()
+                    .join("; "),
+            );
+        }
         let batches_applied = snapshot.as_ref().map_or(0, |s| s.batches_applied);
         Journal::filter_replayable(&mut recovery, batches_applied)?;
         journal.bump_next_seq(batches_applied + recovery.batches.len() as u64 + 1);
@@ -240,52 +274,27 @@ impl MatchStore {
     /// but before the journal reset leaves old frames whose sequence
     /// numbers the next [`MatchStore::open`] filters out.
     pub fn write_snapshot(&mut self, snap: &Snapshot) -> Result<u64, StoreError> {
-        let bytes = snap.encode();
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
-        self.journal.reset(snap.batches_applied + 1)?;
-        Ok(bytes.len() as u64)
+        self.write_snapshot_streamed(&snap.stream(), snap.records.iter().map(Ok))
     }
 
     /// [`MatchStore::write_snapshot`] for state too large to materialize:
-    /// the snapshot streams to disk via [`SnapshotWriter`] (records pulled
-    /// one at a time from `records`), with the same commit choreography —
-    /// temp file, `fsync`, atomic rename, directory `fsync`, journal reset
-    /// to `batches_applied + 1`. The bytes on disk are identical to what
-    /// [`MatchStore::write_snapshot`] would have written for the
-    /// equivalent in-memory [`Snapshot`]. Returns the snapshot size.
+    /// the records are pulled one at a time from `records` through
+    /// [`write_streamed`], with the same commit choreography. Returns the
+    /// snapshot size.
     ///
     /// # Errors
     ///
     /// I/O failures, a record-iterator error, or a record-count mismatch
     /// against [`SnapshotStream::n_records`]; the old snapshot (if any)
     /// stays in place on every error path.
-    pub fn write_snapshot_streamed(
+    pub fn write_snapshot_streamed<R: std::borrow::Borrow<Record>>(
         &mut self,
         state: &SnapshotStream<'_>,
-        records: impl Iterator<Item = io::Result<Record>>,
+        records: impl Iterator<Item = io::Result<R>>,
     ) -> Result<u64, StoreError> {
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let total = {
-            let f = File::create(&tmp)?;
-            let mut w = io::BufWriter::new(f);
-            let total = snapshot::write_streamed(&mut w, state, records)?;
-            w.flush()?;
-            w.into_inner()
-                .map_err(|e| StoreError::Io(io::Error::other(e.to_string())))?
-                .sync_all()?;
-            total
-        };
-        std::fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
+        let total = commit_file(&self.dir.join(SNAPSHOT_FILE), |w| {
+            write_streamed(w, state, records)
+        })?;
         self.journal.reset(state.batches_applied + 1)?;
         Ok(total)
     }
@@ -294,7 +303,6 @@ impl MatchStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_closure::UnionFind;
     use mp_record::RecordId;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -314,12 +322,10 @@ mod tests {
     }
 
     fn snap_of(records: Vec<Record>, batches_applied: u64) -> Snapshot {
-        let n = records.len();
         Snapshot {
             records,
             passes: vec![],
             pairs: vec![],
-            closure: UnionFind::new(n),
             comparisons: 0,
             batches_applied,
             provenance: mp_closure::ProvenanceLog::new(),
@@ -391,17 +397,8 @@ mod tests {
 
         let (mut b, _) = MatchStore::open(&dir_b).unwrap();
         b.append_batch(&records, None).unwrap();
-        let state = SnapshotStream {
-            n_records: records.len() as u64,
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            provenance: &snap.provenance,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-        };
         let bytes_b = b
-            .write_snapshot_streamed(&state, records.iter().cloned().map(Ok))
+            .write_snapshot_streamed(&snap.stream(), records.iter().cloned().map(Ok))
             .unwrap();
 
         assert_eq!(bytes_a, bytes_b);

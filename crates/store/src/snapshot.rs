@@ -1,48 +1,58 @@
 //! Versioned binary snapshot of accumulated incremental merge/purge state.
 //!
-//! A snapshot is a self-contained checkpoint: the records seen so far, each
-//! pass's sorted key index, the matched pair set with per-pass attribution,
-//! the union-find closure forest, and the counters needed to resume cost
-//! accounting. `state = snapshot + journal replayed` — see
-//! [`crate::MatchStore`].
+//! A snapshot is a self-contained checkpoint of everything that cannot be
+//! recomputed: the records seen so far, each pass's extracted keys and
+//! attribution counters, the matched pair set, the merge-provenance log,
+//! and the counters needed to resume cost accounting. `state = snapshot +
+//! journal replayed` — see [`crate::MatchStore`].
+//!
+//! Derived state is not stored. A pass's sorted order is the stable
+//! `(key, id)` sort of its keys, and the closure is the union of the pair
+//! set (§3.3), so the engine rebuilds both on restore.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! header   : magic   b"MPSTORE\0"     (8 bytes)
-//!            version u32 = 2
+//!            version u32 = 3
 //!            count   u32              (number of sections)
-//! section* : tag     [u8; 4]          ("META" "RECS" "PASS" "PAIR" "CLOS" "PROV")
+//! section* : tag     [u8; 4]          ("META" "RECS" "PASS" "PAIR" "PROV")
 //!            len     u64              (payload byte length)
 //!            crc     u32              (CRC-32 of payload)
 //!            payload
 //! ```
 //!
-//! Version 2 added the `PROV` section: the merge-provenance log
-//! ([`mp_closure::ProvenanceLog`]) — spanning-forest edges, per-batch
-//! trace ids, and per-rule firing counts — so the evidence behind every
-//! merge survives checkpoints.
+//! Version 3 dropped each pass's sorted `order` from `PASS` and the
+//! union-find `CLOS` section that version 2 carried. The decoder still
+//! reads version 2: it skips the orders and ignores `CLOS` (both are
+//! CRC-checked, neither is trusted). Binaries that read only version 2
+//! cannot read a version 3 snapshot.
 //!
 //! Section CRCs are verified on load; any mismatch, unknown version, or
-//! structural inconsistency (e.g. a pass index referencing a record that
-//! does not exist) is a [`StoreError::Corrupt`] — a damaged snapshot is
+//! structural inconsistency (e.g. a pair referencing a record that does
+//! not exist) is a [`StoreError::Corrupt`] — a damaged snapshot is
 //! *reported*, never silently loaded. Unknown section tags are skipped so
 //! newer writers can add sections without breaking older readers.
 
 use crate::codec::{self, Crc32, Reader};
 use crate::StoreError;
-use mp_closure::{ProvenanceLog, UnionFind};
+use mp_closure::ProvenanceLog;
 use mp_record::Record;
+use std::borrow::Borrow;
 use std::io::{self, Seek, SeekFrom, Write};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"MPSTORE\0";
 /// Snapshot format version written into the header.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
+/// The previous format, still read: it also stored every pass's sorted
+/// order and the union-find forest (`CLOS`).
+const SNAPSHOT_VERSION_2: u32 = 2;
+/// Section tags in the order [`write_streamed`] emits them.
+const SECTIONS: [&[u8; 4]; 5] = [b"META", b"RECS", b"PASS", b"PAIR", b"PROV"];
 
 /// One pass's persisted state: configuration (for validation on load),
-/// attribution counters, and the sorted key index that lets the next batch
-/// of B records splice in with O(B log B + B log N) key comparisons and one
-/// O(N) `u32` memmove instead of a full resort.
+/// attribution counters, and the extracted sort keys the restored engine
+/// sorts into the pass's order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassSnapshot {
     /// Display name of the pass's key (`KeySpec::name` in the core crate);
@@ -57,8 +67,6 @@ pub struct PassSnapshot {
     pub pairs_first_found: u64,
     /// Extracted sort key per record, indexed by record id.
     pub keys: Vec<String>,
-    /// Record ids in sorted key order (stable: ties keep smaller id first).
-    pub order: Vec<u32>,
 }
 
 /// A complete, loadable checkpoint of incremental merge/purge state.
@@ -66,12 +74,11 @@ pub struct PassSnapshot {
 pub struct Snapshot {
     /// All records accumulated so far, ids positional.
     pub records: Vec<Record>,
-    /// Per-pass sorted key indexes and attribution, in pass order.
+    /// Per-pass keys and attribution, in pass order.
     pub passes: Vec<PassSnapshot>,
-    /// Distinct matched pairs, sorted ascending.
+    /// Distinct matched pairs `(low, high)`, sorted ascending. Their
+    /// transitive closure is the duplicate classes.
     pub pairs: Vec<(u32, u32)>,
-    /// Union-find closure over `0..records.len()`.
-    pub closure: UnionFind,
     /// Pair comparisons performed across all absorbed batches.
     pub comparisons: u64,
     /// Number of batches this snapshot has absorbed; journal frames with
@@ -85,70 +92,29 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot into its on-disk byte representation.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        codec::put_u64(&mut meta, self.comparisons);
-        codec::put_u64(&mut meta, self.batches_applied);
-        codec::put_u64(&mut meta, self.records.len() as u64);
-        codec::put_u64(&mut meta, self.pairs.len() as u64);
-
-        let mut recs = Vec::new();
-        codec::put_records(&mut recs, &self.records);
-
-        let mut pass = Vec::new();
-        codec::put_u32(&mut pass, self.passes.len() as u32);
-        for p in &self.passes {
-            codec::put_str(&mut pass, &p.key_name);
-            codec::put_u32(&mut pass, p.window);
-            codec::put_u64(&mut pass, p.pairs_found);
-            codec::put_u64(&mut pass, p.pairs_first_found);
-            codec::put_u32(&mut pass, p.keys.len() as u32);
-            for k in &p.keys {
-                codec::put_str(&mut pass, k);
-            }
-            codec::put_u32(&mut pass, p.order.len() as u32);
-            for &o in &p.order {
-                codec::put_u32(&mut pass, o);
-            }
+    /// Borrowed view of everything but the records, for [`write_streamed`].
+    pub fn stream(&self) -> SnapshotStream<'_> {
+        SnapshotStream {
+            n_records: self.records.len() as u64,
+            passes: &self.passes,
+            pairs: &self.pairs,
+            provenance: &self.provenance,
+            comparisons: self.comparisons,
+            batches_applied: self.batches_applied,
         }
-
-        let mut pair = Vec::new();
-        codec::put_u64(&mut pair, self.pairs.len() as u64);
-        for &(a, b) in &self.pairs {
-            codec::put_u32(&mut pair, a);
-            codec::put_u32(&mut pair, b);
-        }
-
-        let mut clos = Vec::new();
-        self.closure.encode_into(&mut clos);
-
-        let mut prov = Vec::new();
-        self.provenance.encode_into(&mut prov);
-
-        let sections: [(&[u8; 4], Vec<u8>); 6] = [
-            (b"META", meta),
-            (b"RECS", recs),
-            (b"PASS", pass),
-            (b"PAIR", pair),
-            (b"CLOS", clos),
-            (b"PROV", prov),
-        ];
-        let total: usize = sections.iter().map(|(_, p)| p.len() + 16).sum();
-        let mut out = Vec::with_capacity(16 + total);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for (tag, payload) in sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        out
     }
 
-    /// Parses and validates a snapshot produced by [`Snapshot::encode`].
+    /// Serializes the snapshot into its on-disk byte representation (the
+    /// bytes [`write_streamed`] writes).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = io::Cursor::new(Vec::new());
+        write_streamed(&mut out, &self.stream(), self.records.iter().map(Ok))
+            .expect("encoding into memory cannot fail");
+        out.into_inner()
+    }
+
+    /// Parses and validates a version 3 snapshot, or a version 2 one
+    /// (whose pass orders and closure section are skipped).
     ///
     /// # Errors
     ///
@@ -163,11 +129,13 @@ impl Snapshot {
             return Err(corrupt("bad magic".into()));
         }
         let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_2 {
             return Err(corrupt(format!(
-                "format version {version} (this build reads {SNAPSHOT_VERSION})"
+                "format version {version} (this build reads {SNAPSHOT_VERSION_2} and \
+                 {SNAPSHOT_VERSION})"
             )));
         }
+        let v2 = version == SNAPSHOT_VERSION_2;
         let count = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
 
         // Every section header takes 16 bytes, so the input bounds how
@@ -176,17 +144,17 @@ impl Snapshot {
             Vec::with_capacity(count.min((data.len() - 16) / 16));
         let mut off = 16usize;
         for i in 0..count {
-            if data.len() < off + 16 {
+            if data.len() - off < 16 {
                 return Err(corrupt(format!("section {i}: truncated header")));
             }
             let tag: [u8; 4] = data[off..off + 4].try_into().unwrap();
-            let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap());
             let crc = u32::from_le_bytes(data[off + 12..off + 16].try_into().unwrap());
             off += 16;
-            if data.len() < off + len {
+            if ((data.len() - off) as u64) < len {
                 return Err(corrupt(format!("section {i}: truncated payload")));
             }
-            let payload = &data[off..off + len];
+            let payload = &data[off..off + len as usize];
             if codec::crc32(payload) != crc {
                 return Err(corrupt(format!(
                     "section {:?}: CRC mismatch",
@@ -194,7 +162,7 @@ impl Snapshot {
                 )));
             }
             sections.push((tag, payload));
-            off += len;
+            off += len as usize;
         }
         if off != data.len() {
             return Err(corrupt(format!("{} trailing bytes", data.len() - off)));
@@ -211,6 +179,13 @@ impl Snapshot {
                     ))
                 })
         };
+        // Version 2's closure is derived state: required (it is part of
+        // that format) but never read. Version 3 never writes one.
+        if v2 {
+            find(b"CLOS")?;
+        } else if find(b"CLOS").is_ok() {
+            return Err(corrupt("CLOS section in a version 3 snapshot".into()));
+        }
 
         let mut r = Reader::new(find(b"META")?);
         let (comparisons, batches_applied, n_records, n_pairs) = (|| {
@@ -219,7 +194,7 @@ impl Snapshot {
             let nr = r.u64()?;
             let np = r.u64()?;
             r.finish()?;
-            Ok::<_, String>((c, b, nr as usize, np as usize))
+            Ok::<_, String>((c, b, nr, np))
         })()
         .map_err(|e| corrupt(format!("META: {e}")))?;
 
@@ -227,7 +202,7 @@ impl Snapshot {
         let records = codec::take_records(&mut r)
             .and_then(|recs| r.finish().map(|()| recs))
             .map_err(|e| corrupt(format!("RECS: {e}")))?;
-        if records.len() != n_records {
+        if records.len() as u64 != n_records {
             return Err(corrupt(format!(
                 "META says {n_records} records, RECS holds {}",
                 records.len()
@@ -244,14 +219,13 @@ impl Snapshot {
                 let pairs_found = r.u64()?;
                 let pairs_first_found = r.u64()?;
                 let nk = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(nk.min(r.remaining()));
+                let mut keys = Vec::with_capacity(nk.min(r.remaining() / 4));
                 for _ in 0..nk {
                     keys.push(r.str()?);
                 }
-                let no = r.u32()? as usize;
-                let mut order = Vec::with_capacity(no.min(r.remaining() / 4 + 1));
-                for _ in 0..no {
-                    order.push(r.u32()?);
+                if v2 {
+                    let order_len = r.u32()? as usize;
+                    r.skip(order_len.saturating_mul(4))?;
                 }
                 passes.push(PassSnapshot {
                     key_name,
@@ -259,7 +233,6 @@ impl Snapshot {
                     pairs_found,
                     pairs_first_found,
                     keys,
-                    order,
                 });
             }
             r.finish()?;
@@ -267,23 +240,22 @@ impl Snapshot {
         })()
         .map_err(|e| corrupt(format!("PASS: {e}")))?;
         for (i, p) in passes.iter().enumerate() {
-            if p.keys.len() != records.len() || p.order.len() != records.len() {
+            if p.keys.len() != records.len() {
                 return Err(corrupt(format!(
-                    "pass {i}: index sizes ({} keys, {} order) disagree with {} records",
+                    "pass {i}: {} keys disagree with {} records",
                     p.keys.len(),
-                    p.order.len(),
                     records.len()
                 )));
-            }
-            if p.order.iter().any(|&o| o as usize >= records.len()) {
-                return Err(corrupt(format!("pass {i}: order entry out of range")));
             }
         }
 
         let mut r = Reader::new(find(b"PAIR")?);
         let pairs = (|| {
-            let n = r.u64()? as usize;
-            let mut pairs = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
+            let n = r.u64()?;
+            if n != n_pairs {
+                return Err(format!("META says {n_pairs} pairs, PAIR says {n}"));
+            }
+            let mut pairs = Vec::with_capacity((n as usize).min(r.remaining() / 8));
             for _ in 0..n {
                 pairs.push((r.u32()?, r.u32()?));
             }
@@ -291,27 +263,14 @@ impl Snapshot {
             Ok::<_, String>(pairs)
         })()
         .map_err(|e| corrupt(format!("PAIR: {e}")))?;
-        if pairs.len() != n_pairs {
-            return Err(corrupt(format!(
-                "META says {n_pairs} pairs, PAIR holds {}",
-                pairs.len()
-            )));
-        }
         if pairs
             .iter()
             .any(|&(a, b)| a >= b || b as usize >= records.len())
         {
             return Err(corrupt("PAIR: pair out of range or not (low, high)".into()));
         }
-
-        let closure =
-            UnionFind::decode(find(b"CLOS")?).map_err(|e| corrupt(format!("CLOS: {e}")))?;
-        if closure.len() != records.len() {
-            return Err(corrupt(format!(
-                "closure covers {} elements but there are {} records",
-                closure.len(),
-                records.len()
-            )));
+        if pairs.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("PAIR: pairs not sorted and distinct".into()));
         }
 
         let provenance =
@@ -332,7 +291,6 @@ impl Snapshot {
             records,
             passes,
             pairs,
-            closure,
             comparisons,
             batches_applied,
             provenance,
@@ -340,21 +298,11 @@ impl Snapshot {
     }
 }
 
-/// Streaming writer producing byte-identical output to
-/// [`Snapshot::encode`] without buffering whole sections.
-///
-/// [`Snapshot::encode`] builds every section in memory — fine for
-/// checkpoints of a running daemon (the records are resident anyway), but
-/// wrong for the bulk-load path, where the whole point is never holding
-/// 10M records at once. The writer streams instead: each section's header
-/// is written with a 12-byte length/CRC placeholder, the payload streams
-/// through an incremental [`Crc32`], and on section close the writer seeks
-/// back and patches the real length and digest in. Readers cannot tell the
-/// difference (a test enforces bit-identity with `encode`).
-///
-/// Sections must be written in the same order `encode` emits them
-/// (`META`, `RECS`, `PASS`, `PAIR`, `CLOS`, `PROV`) for the outputs to be
-/// identical; the writer itself only enforces the declared section count.
+/// Streaming snapshot writer: each section's header is written with a
+/// 12-byte length/CRC placeholder, the payload streams through an
+/// incremental [`Crc32`], and on section close the writer seeks back and
+/// patches the real length and digest in. [`write_streamed`] drives it,
+/// so no section is ever buffered whole.
 pub struct SnapshotWriter<W: Write + Seek> {
     out: W,
     declared: u32,
@@ -485,8 +433,6 @@ pub struct SnapshotStream<'a> {
     pub passes: &'a [PassSnapshot],
     /// Distinct matched pairs, sorted ascending.
     pub pairs: &'a [(u32, u32)],
-    /// Union-find closure over `0..n_records`.
-    pub closure: &'a UnionFind,
     /// Pair comparisons performed.
     pub comparisons: u64,
     /// Batches the snapshot absorbs (1 for a cold bulk load).
@@ -496,12 +442,13 @@ pub struct SnapshotStream<'a> {
     pub provenance: &'a ProvenanceLog,
 }
 
-/// Streams a complete snapshot to `out`, byte-identical to
-/// [`Snapshot::encode`] on the equivalent in-memory state.
+/// Writes a complete snapshot to `out` and returns its size in bytes —
+/// the one encoder behind [`Snapshot::encode`] and both
+/// [`crate::MatchStore`] commit paths.
 ///
 /// `records` must yield exactly [`SnapshotStream::n_records`] records with
-/// positional ids; each is encoded and dropped, so peak memory is one
-/// record regardless of database size.
+/// positional ids, owned or borrowed; each is encoded and released, so a
+/// bulk load streaming them off its input holds one record at a time.
 ///
 /// # Errors
 ///
@@ -509,109 +456,151 @@ pub struct SnapshotStream<'a> {
 /// [`StoreError::Corrupt`] when the iterator yields a different number of
 /// records than declared (the snapshot would fail its own validation on
 /// load, so it is never written silently).
-pub fn write_streamed<W: Write + Seek>(
+pub fn write_streamed<W: Write + Seek, R: Borrow<Record>>(
     out: W,
     state: &SnapshotStream<'_>,
-    records: impl Iterator<Item = io::Result<Record>>,
+    mut records: impl Iterator<Item = io::Result<R>>,
 ) -> Result<u64, StoreError> {
-    let mut w = SnapshotWriter::new(out, 6)?;
+    let mut w = SnapshotWriter::new(out, SECTIONS.len() as u32)?;
     let mut buf = Vec::new();
-
-    w.begin_section(b"META")?;
-    codec::put_u64(&mut buf, state.comparisons);
-    codec::put_u64(&mut buf, state.batches_applied);
-    codec::put_u64(&mut buf, state.n_records);
-    codec::put_u64(&mut buf, state.pairs.len() as u64);
-    w.write(&buf)?;
-    w.end_section()?;
-
-    w.begin_section(b"RECS")?;
-    buf.clear();
-    codec::put_u32(&mut buf, state.n_records as u32);
-    w.write(&buf)?;
-    let mut yielded = 0u64;
-    for record in records {
+    for tag in SECTIONS {
+        w.begin_section(tag)?;
         buf.clear();
-        codec::put_record(&mut buf, &record?);
-        w.write(&buf)?;
-        yielded += 1;
-    }
-    if yielded != state.n_records {
-        return Err(StoreError::Corrupt(format!(
-            "streamed snapshot: declared {} records but the source yielded {yielded}",
-            state.n_records
-        )));
-    }
-    w.end_section()?;
-
-    w.begin_section(b"PASS")?;
-    buf.clear();
-    codec::put_u32(&mut buf, state.passes.len() as u32);
-    w.write(&buf)?;
-    for p in state.passes {
-        buf.clear();
-        codec::put_str(&mut buf, &p.key_name);
-        codec::put_u32(&mut buf, p.window);
-        codec::put_u64(&mut buf, p.pairs_found);
-        codec::put_u64(&mut buf, p.pairs_first_found);
-        codec::put_u32(&mut buf, p.keys.len() as u32);
-        w.write(&buf)?;
-        for k in &p.keys {
-            buf.clear();
-            codec::put_str(&mut buf, k);
-            w.write(&buf)?;
+        match tag {
+            b"META" => {
+                codec::put_u64(&mut buf, state.comparisons);
+                codec::put_u64(&mut buf, state.batches_applied);
+                codec::put_u64(&mut buf, state.n_records);
+                codec::put_u64(&mut buf, state.pairs.len() as u64);
+            }
+            b"RECS" => {
+                codec::put_u32(&mut buf, state.n_records as u32);
+                let mut yielded = 0u64;
+                for record in records.by_ref() {
+                    codec::put_record(&mut buf, record?.borrow());
+                    yielded += 1;
+                    if buf.len() >= 1 << 16 {
+                        w.write(&buf)?;
+                        buf.clear();
+                    }
+                }
+                if yielded != state.n_records {
+                    return Err(StoreError::Corrupt(format!(
+                        "streamed snapshot: declared {} records but the source yielded {yielded}",
+                        state.n_records
+                    )));
+                }
+            }
+            b"PASS" => {
+                codec::put_u32(&mut buf, state.passes.len() as u32);
+                for p in state.passes {
+                    codec::put_str(&mut buf, &p.key_name);
+                    codec::put_u32(&mut buf, p.window);
+                    codec::put_u64(&mut buf, p.pairs_found);
+                    codec::put_u64(&mut buf, p.pairs_first_found);
+                    codec::put_u32(&mut buf, p.keys.len() as u32);
+                    for k in &p.keys {
+                        codec::put_str(&mut buf, k);
+                        if buf.len() >= 1 << 16 {
+                            w.write(&buf)?;
+                            buf.clear();
+                        }
+                    }
+                }
+            }
+            b"PAIR" => {
+                codec::put_u64(&mut buf, state.pairs.len() as u64);
+                for &(a, b) in state.pairs {
+                    codec::put_u32(&mut buf, a);
+                    codec::put_u32(&mut buf, b);
+                }
+            }
+            _ => state.provenance.encode_into(&mut buf),
         }
-        buf.clear();
-        codec::put_u32(&mut buf, p.order.len() as u32);
-        for &o in &p.order {
-            codec::put_u32(&mut buf, o);
-        }
         w.write(&buf)?;
+        w.end_section()?;
     }
-    w.end_section()?;
-
-    w.begin_section(b"PAIR")?;
-    buf.clear();
-    codec::put_u64(&mut buf, state.pairs.len() as u64);
-    for &(a, b) in state.pairs {
-        codec::put_u32(&mut buf, a);
-        codec::put_u32(&mut buf, b);
-    }
-    w.write(&buf)?;
-    w.end_section()?;
-
-    w.begin_section(b"CLOS")?;
-    buf.clear();
-    state.closure.encode_into(&mut buf);
-    w.write(&buf)?;
-    w.end_section()?;
-
-    w.begin_section(b"PROV")?;
-    buf.clear();
-    state.provenance.encode_into(&mut buf);
-    w.write(&buf)?;
-    w.end_section()?;
-
     let (_, total) = w.finish()?;
     Ok(total)
 }
 
+/// A version 2 encoding of `snap` — the layout binaries before version 3
+/// wrote: each pass also carries its stable `(key, id)` order, and a
+/// `CLOS` section (here an all-singleton forest; the decoder never reads
+/// it) sits between `PAIR` and `PROV`.
 #[cfg(test)]
-mod tests {
+pub(crate) fn encode_v2(snap: &Snapshot) -> Vec<u8> {
+    let v3 = snap.encode();
+    let mut pass = Vec::new();
+    codec::put_u32(&mut pass, snap.passes.len() as u32);
+    for p in &snap.passes {
+        codec::put_str(&mut pass, &p.key_name);
+        codec::put_u32(&mut pass, p.window);
+        codec::put_u64(&mut pass, p.pairs_found);
+        codec::put_u64(&mut pass, p.pairs_first_found);
+        codec::put_u32(&mut pass, p.keys.len() as u32);
+        for k in &p.keys {
+            codec::put_str(&mut pass, k);
+        }
+        let mut order: Vec<u32> = (0..p.keys.len() as u32).collect();
+        order.sort_by(|&a, &b| p.keys[a as usize].cmp(&p.keys[b as usize]));
+        codec::put_u32(&mut pass, order.len() as u32);
+        for o in order {
+            codec::put_u32(&mut pass, o);
+        }
+    }
+    let n = snap.records.len() as u32;
+    let mut clos = Vec::new();
+    codec::put_u32(&mut clos, n);
+    for i in 0..n {
+        codec::put_u32(&mut clos, i);
+    }
+    clos.resize(clos.len() + n as usize, 0);
+
+    // Re-frame: v3's sections, PASS swapped and CLOS inserted.
+    let mut sections: Vec<([u8; 4], Vec<u8>)> = Vec::new();
+    let mut off = 16;
+    while off < v3.len() {
+        let tag: [u8; 4] = v3[off..off + 4].try_into().unwrap();
+        let len = u64::from_le_bytes(v3[off + 4..off + 12].try_into().unwrap()) as usize;
+        let payload = v3[off + 16..off + 16 + len].to_vec();
+        off += 16 + len;
+        match &tag {
+            b"PASS" => sections.push((tag, pass.clone())),
+            b"PROV" => {
+                sections.push((*b"CLOS", clos.clone()));
+                sections.push((tag, payload));
+            }
+            _ => sections.push((tag, payload)),
+        }
+    }
+    let mut out = Vec::new();
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION_2.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (tag, payload) in sections {
+        out.extend_from_slice(&tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    out
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use mp_record::RecordId;
 
-    fn sample() -> Snapshot {
+    pub(crate) fn sample() -> Snapshot {
         let records: Vec<Record> = (0..4)
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
-                r.last_name = format!("L{i}");
+                r.last_name = format!("L{}", 3 - i);
                 r.first_name = format!("F{}", i % 2);
                 r
             })
             .collect();
-        let mut closure = UnionFind::new(4);
-        closure.union(0, 2);
         let mut provenance = ProvenanceLog::new();
         provenance.record_edge(mp_closure::MergeEdge {
             a: 0,
@@ -629,54 +618,87 @@ mod tests {
                 pairs_found: 1,
                 pairs_first_found: 1,
                 keys: records.iter().map(|r| r.last_name.clone()).collect(),
-                order: vec![0, 1, 2, 3],
             }],
             records,
             pairs: vec![(0, 2)],
-            closure,
             comparisons: 6,
             batches_applied: 2,
             provenance,
         }
     }
 
-    #[test]
-    fn encode_decode_roundtrip() {
-        let snap = sample();
-        let bytes = snap.encode();
-        let back = Snapshot::decode(&bytes).unwrap();
+    fn assert_same(back: &Snapshot, snap: &Snapshot) {
         assert_eq!(back.records, snap.records);
         assert_eq!(back.passes, snap.passes);
         assert_eq!(back.pairs, snap.pairs);
-        assert_eq!(back.comparisons, 6);
-        assert_eq!(back.batches_applied, 2);
-        assert_eq!(back.closure.clone().classes(), vec![vec![0, 2]]);
+        assert_eq!(back.comparisons, snap.comparisons);
+        assert_eq!(back.batches_applied, snap.batches_applied);
         assert_eq!(back.provenance, snap.provenance);
     }
 
     #[test]
-    fn every_flipped_byte_is_detected() {
-        // Flip each byte of the encoding in turn: decode must never
-        // succeed with silently wrong content — either it errors (CRC or
-        // structure) or, for bytes outside any checksummed payload
-        // (header/section framing), it still errors because framing is
-        // validated.
+    fn encode_decode_roundtrip() {
         let snap = sample();
-        let bytes = snap.encode();
+        assert_same(&Snapshot::decode(&snap.encode()).unwrap(), &snap);
+    }
+
+    #[test]
+    fn version_2_decodes_to_the_same_state_without_trusting_orders() {
+        let snap = sample();
+        let v2 = encode_v2(&snap);
+        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
+        assert_same(&Snapshot::decode(&v2).unwrap(), &snap);
+        // A version 2 order is skipped, not read: one that is no
+        // permutation at all (here all zeros, CRC recomputed) still loads
+        // to the same state.
+        let mut pass = Vec::new();
+        codec::put_u32(&mut pass, 1);
+        let p = &snap.passes[0];
+        codec::put_str(&mut pass, &p.key_name);
+        codec::put_u32(&mut pass, p.window);
+        codec::put_u64(&mut pass, p.pairs_found);
+        codec::put_u64(&mut pass, p.pairs_first_found);
+        codec::put_u32(&mut pass, p.keys.len() as u32);
+        for k in &p.keys {
+            codec::put_str(&mut pass, k);
+        }
+        codec::put_u32(&mut pass, 4);
+        pass.extend_from_slice(&[0u8; 16]);
+        let tag_at = v2.windows(4).position(|t| t == b"PASS").unwrap();
+        let len = u64::from_le_bytes(v2[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+        let mut bad = v2[..tag_at + 4].to_vec();
+        bad.extend_from_slice(&(pass.len() as u64).to_le_bytes());
+        bad.extend_from_slice(&codec::crc32(&pass).to_le_bytes());
+        bad.extend_from_slice(&pass);
+        bad.extend_from_slice(&v2[tag_at + 16 + len..]);
+        assert_same(&Snapshot::decode(&bad).unwrap(), &snap);
+    }
+
+    #[test]
+    fn closure_section_is_required_in_v2_and_refused_in_v3() {
+        let snap = sample();
+        let mut v3_as_v2 = snap.encode();
+        v3_as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Snapshot::decode(&v3_as_v2).unwrap_err();
+        assert!(err.to_string().contains("CLOS"), "{err}");
+        let mut v2_as_v3 = encode_v2(&snap);
+        v2_as_v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = Snapshot::decode(&v2_as_v3).unwrap_err();
+        assert!(err.to_string().contains("CLOS"), "{err}");
+    }
+
+    #[test]
+    fn every_flipped_byte_is_detected() {
+        // Every byte is either framing (validated) or inside a
+        // CRC-protected payload, so no single flip decodes.
+        let bytes = sample().encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x01;
-            if let Ok(decoded) = Snapshot::decode(&bad) {
-                // The only way a flip can decode is if it flipped something
-                // and flipped it back to equivalent content — impossible
-                // with a single XOR, so reaching here is a real failure.
-                assert_eq!(
-                    (decoded.records, decoded.pairs),
-                    (snap.records.clone(), snap.pairs.clone()),
-                    "byte {i} flipped yet decode succeeded with different content"
-                );
-                panic!("byte flip at {i} went undetected");
-            }
+            assert!(
+                Snapshot::decode(&bad).is_err(),
+                "byte flip at {i} went undetected"
+            );
         }
     }
 
@@ -695,25 +717,17 @@ mod tests {
     fn streamed_write_is_byte_identical_to_encode() {
         let snap = sample();
         let want = snap.encode();
-        let state = SnapshotStream {
-            n_records: snap.records.len() as u64,
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-            provenance: &snap.provenance,
-        };
         let mut cursor = io::Cursor::new(Vec::new());
-        let total =
-            write_streamed(&mut cursor, &state, snap.records.iter().cloned().map(Ok)).unwrap();
+        let total = write_streamed(
+            &mut cursor,
+            &snap.stream(),
+            snap.records.iter().cloned().map(Ok),
+        )
+        .unwrap();
         let got = cursor.into_inner();
         assert_eq!(total as usize, got.len());
         assert_eq!(got, want, "streamed bytes diverge from encode()");
-        // And it round-trips through the validating decoder.
-        let back = Snapshot::decode(&got).unwrap();
-        assert_eq!(back.records, snap.records);
-        assert_eq!(back.passes, snap.passes);
+        assert_same(&Snapshot::decode(&got).unwrap(), &snap);
     }
 
     #[test]
@@ -721,16 +735,10 @@ mod tests {
         let snap = sample();
         let state = SnapshotStream {
             n_records: snap.records.len() as u64 + 1, // lie
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-            provenance: &snap.provenance,
+            ..snap.stream()
         };
         let mut cursor = io::Cursor::new(Vec::new());
-        let err =
-            write_streamed(&mut cursor, &state, snap.records.iter().cloned().map(Ok)).unwrap_err();
+        let err = write_streamed(&mut cursor, &state, snap.records.iter().map(Ok)).unwrap_err();
         assert!(err.to_string().contains("yielded"), "{err}");
     }
 

@@ -1,6 +1,6 @@
 //! Store round-trip properties: a snapshot written and reloaded is the
-//! identity on records, pass indexes, pairs, and — the part the paper
-//! cares about — the transitive-closure classes.
+//! identity on records, pass keys, pairs, and — the part the paper cares
+//! about — the transitive-closure classes those pairs imply.
 
 use mp_closure::{MergeEdge, ProvenanceLog, UnionFind};
 use mp_record::{Record, RecordId};
@@ -14,9 +14,18 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The closure of `pairs` over `0..n`: classes and closed pairs.
+fn closure_of(n: usize, pairs: &[(u32, u32)]) -> (Vec<Vec<u32>>, Vec<(u32, u32)>) {
+    let mut closure = UnionFind::new(n);
+    for &(a, b) in pairs {
+        closure.union(a, b);
+    }
+    (closure.classes(), closure.closed_pairs())
+}
+
 /// Builds a structurally consistent snapshot from generator-driven raw
-/// material: `n` records with arbitrary field content, a pair list over
-/// them, and the union-find their closure implies.
+/// material: `n` records with arbitrary field content and a pair list
+/// over them.
 fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snapshot {
     let records: Vec<Record> = (0..n)
         .map(|i| {
@@ -28,7 +37,6 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
             r
         })
         .collect();
-    let mut closure = UnionFind::new(n);
     let mut pairs = Vec::new();
     for &(a, b) in raw_pairs {
         let (a, b) = (a % n as u32, b % n as u32);
@@ -39,7 +47,6 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
         if !pairs.contains(&(lo, hi)) {
             pairs.push((lo, hi));
         }
-        closure.union(lo, hi);
     }
     pairs.sort_unstable();
     let mut provenance = ProvenanceLog::new();
@@ -56,8 +63,6 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
     provenance.note_batch_trace(2, "0000beef-00000002");
     let mut keys: Vec<String> = records.iter().map(|r| r.last_name.clone()).collect();
     keys.iter_mut().for_each(|k| k.truncate(8));
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
     Snapshot {
         passes: vec![PassSnapshot {
             key_name: "last-name".into(),
@@ -65,11 +70,9 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
             pairs_found: pairs.len() as u64,
             pairs_first_found: pairs.len() as u64,
             keys,
-            order,
         }],
         records,
         pairs,
-        closure,
         provenance,
         comparisons: 123,
         batches_applied: 4,
@@ -84,8 +87,7 @@ proptest! {
         fields in proptest::collection::vec("[A-Z]{0,10}", 3..6),
     ) {
         let snap = build_snapshot(n, &raw_pairs, &fields);
-        let want_classes = snap.closure.clone().classes();
-        let want_closed = snap.closure.clone().closed_pairs();
+        let want = closure_of(n, &snap.pairs);
 
         let dir = tmp_dir(&format!("prop-{n}-{}", raw_pairs.len()));
         {
@@ -102,8 +104,7 @@ proptest! {
         prop_assert_eq!(back.comparisons, snap.comparisons);
         prop_assert_eq!(back.batches_applied, snap.batches_applied);
         // The headline property: closure pairs and classes are identical.
-        prop_assert_eq!(back.closure.clone().classes(), want_classes);
-        prop_assert_eq!(back.closure.clone().closed_pairs(), want_closed);
+        prop_assert_eq!(closure_of(n, &back.pairs), want);
         prop_assert!(!loaded.recovery.truncated());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -114,12 +115,10 @@ fn generated_database_round_trips_through_the_store() {
     use mp_datagen::{DatabaseGenerator, GeneratorConfig};
     let db = DatabaseGenerator::new(GeneratorConfig::new(500).duplicate_fraction(0.4).seed(42))
         .generate();
-    let n = db.records.len();
     let snap = Snapshot {
         records: db.records.clone(),
         passes: vec![],
         pairs: vec![],
-        closure: UnionFind::new(n),
         provenance: ProvenanceLog::new(),
         comparisons: 0,
         batches_applied: 1,

@@ -76,7 +76,7 @@ commands:
   explain   --input FILE --a ID --b ID [--rules FILE] [--theory T]
             | (--socket PATH | --addr HOST:PORT) --a ID --b ID
   load      --input FILE --store DIR [--window W] [--keys a,b,c]
-            [--rules FILE] [--theory T] [--shards N] [--work-dir DIR]
+            [--rules FILE] [--theory T] [--work-dir DIR]
             [--memory-budget N] [--fan-in N] [--sort-threads N]
             [--sort-strategy comparison|radix]
   serve     --socket PATH --store DIR [--window W] [--keys a,b,c]
@@ -163,9 +163,10 @@ bulk-load --input FILE`, where FILE is a *daemon-local* path.
 serve runs the batch-ingest daemon on a Unix socket (plus TCP with
 --listen; same wire protocol), backed by the durable match-store at
 --store (crash-safe snapshots + batch journal; see docs/SERVING.md and
-docs/INCREMENTAL.md). --shards N partitions the store by key band into N
-journaling shard workers (fixed at store creation; the merged match set
-stays identical to --shards 1). send is the matching client over either
+docs/INCREMENTAL.md). --shards N (1..=27) splits every window scan across
+N key bands on parallel threads; the store and every answer are identical
+for any N, which may change between restarts. A store in the retired
+sharded layout is converted on open. send is the matching client over either
 transport: --cmd is one of ingest-batch (reads --input), bulk-load
 (sends --input as a daemon-local path), query-matches (needs --id),
 stats, snapshot, metrics, trace, healthz, readyz,
@@ -189,8 +190,8 @@ stderr output. top polls a running daemon's stats and renders an
 in-place refreshing terminal view of rolling 1m/5m/15m rates,
 batch-latency quantiles, queue pressure, snapshot staleness, tracing
 state, a match-quality panel (cluster-size histogram, largest cluster,
-top rules by firings, rolling selectivity), and (sharded daemons) a
-per-shard table with scan-latency
+top rules by firings, rolling selectivity), and (banded daemons) a
+per-band table with scan-latency
 quantiles (--iterations 0 = run until interrupted); top --json prints
 the same data as machine-readable JSON frames (one by default). trace
 fetches the flight-recorder dump into a Perfetto-loadable file.";
@@ -321,11 +322,10 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
     if window < 2 {
         return Err("--window must be at least 2".into());
     }
-    let shards: usize = flags.get_parsed("shards", 1)?;
     let cfg = BulkStoreConfig {
         window,
         keys: parse_keys(flags)?,
-        shards,
+        shards: 1,
         external: parse_external(flags)?,
     };
     let work = flags
@@ -981,7 +981,7 @@ fn human_ns(ns: u64) -> String {
     }
 }
 
-/// Renders one `top` frame from a schema-6 `stats` reply.
+/// Renders one `top` frame from a schema-7 `stats` reply.
 fn render_top(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> String {
     use merge_purge_repro::serve::json::Json;
     let num = |v: Option<&Json>| v.and_then(Json::as_u64).unwrap_or(0);
@@ -1104,21 +1104,13 @@ fn render_top(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> Str
     }
     if let Some(shards) = stats.get("shards").and_then(Json::as_array) {
         out.push_str(&format!(
-            "\n{:<8}{:>12}{:>16}{:>12}{:>10}{:>10}{:>10}\n",
-            "shard", "records", "journal replays", "queue", "replayed", "scan p50", "scan p99"
+            "\n{:<8}{:>10}{:>10}\n",
+            "shard", "scan p50", "scan p99"
         ));
         for s in shards {
             out.push_str(&format!(
-                "{:<8}{:>12}{:>16}{:>12}{:>10}{:>10}{:>10}\n",
+                "{:<8}{:>10}{:>10}\n",
                 num(s.get("shard")),
-                num(s.get("records")),
-                num(s.get("journal_replays")),
-                num(s.get("queue_depth")),
-                if s.get("replay_complete").and_then(Json::as_bool) == Some(true) {
-                    "yes"
-                } else {
-                    "NO"
-                },
                 human_ns(num(s.get("scan_p50_ns"))),
                 human_ns(num(s.get("scan_p99_ns"))),
             ));

@@ -3,26 +3,17 @@
 //!
 //! This is the glue between `mp-extsort`'s [`BulkLoader`] (which
 //! reconstructs the exact state one `add_batch` of the whole file would
-//! build, under a bounded memory budget) and `mp-store`'s two on-disk
-//! layouts:
+//! build, under a bounded memory budget) and `mp-store`'s store layout:
+//! the per-pass keys, pairs and counters are committed through the
+//! *streaming* snapshot writer ([`MatchStore::write_snapshot_streamed`])
+//! with the records iterated back off the input file — the full database
+//! is never materialized in this process; peak record residency is the
+//! sort's `memory_records` budget plus one scan window.
 //!
-//! * **single-worker** (`--shards 1`): the per-pass state is committed
-//!   through the *streaming* snapshot writer
-//!   ([`MatchStore::write_snapshot_streamed`]) with the records iterated
-//!   back off the input file — the full database is never materialized in
-//!   this process; peak record residency is the sort's `memory_records`
-//!   budget plus one scan window.
-//! * **sharded** (`--shards N`): each shard's snapshot slice is built and
-//!   written in turn, so peak record residency is one shard's owned
-//!   records (the slice encoder needs them in one buffer). The scatter
-//!   routes with the same [`ShardRouter`] the daemon uses, so a
-//!   bulk-loaded sharded store is indistinguishable from one the daemon
-//!   checkpointed.
-//!
-//! Either way the committed snapshot carries `batches_applied = 1` — a
-//! restarted daemon sees a store that ingested the whole file as its
-//! first batch, and the journal watermark (`next_seq = 2`) lines up so
-//! subsequent incremental batches journal and replay normally.
+//! The committed snapshot carries `batches_applied = 1` — a restarted
+//! daemon sees a store that ingested the whole file as its first batch,
+//! and the journal watermark (`next_seq = 2`) lines up so subsequent
+//! incremental batches journal and replay normally.
 //!
 //! The load is **cold-start only**: a store that already holds a
 //! snapshot or journaled batches is left untouched (the loader reports
@@ -30,17 +21,13 @@
 //! store directory holds no readable state — a crash mid-load just
 //! reruns from scratch, which the kill-recovery tests exercise.
 
-use crate::serve::shard::ShardRouter;
 use merge_purge::KeySpec;
-use mp_extsort::{BulkLoader, BulkOutcome, ExternalConfig, IoStats};
-use mp_metrics::{span, PipelineObserver};
+use mp_extsort::{BulkLoader, ExternalConfig, IoStats};
+use mp_metrics::PipelineObserver;
 use mp_record::io as rio;
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use mp_store::sharded::ShardPassSlice;
-use mp_store::{
-    write_shard_snapshot, MatchStore, PassSnapshot, ShardSnapshot, ShardedStore, SnapshotStream,
-};
+use mp_store::{MatchStore, PassSnapshot, SnapshotStream};
 use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::Path;
@@ -54,8 +41,9 @@ pub struct BulkStoreConfig {
     /// Pass keys, in order (must match the daemon that will serve the
     /// store).
     pub keys: Vec<KeySpec>,
-    /// Store layout: 1 = single-worker, N = sharded (fixed at store
-    /// creation, like `serve --shards`).
+    /// The band count of the daemon that will serve the store (checked
+    /// to be in `serve --shards`'s range, 1..=27). The store layout is the
+    /// same for every count.
     pub shards: usize,
     /// External-sort limits: memory budget, fan-in, run-formation
     /// threads, and sort strategy.
@@ -71,7 +59,7 @@ pub struct BulkStoreReport {
     pub pairs: u64,
     /// Pair comparisons across all passes.
     pub comparisons: u64,
-    /// Bytes of committed snapshot state (all shards, when sharded).
+    /// Bytes of committed snapshot state.
     pub snapshot_bytes: u64,
     /// Sort + scan I/O accounting from the external pipeline.
     pub io: IoStats,
@@ -80,41 +68,6 @@ pub struct BulkStoreReport {
 fn record_stream(input: &Path) -> Result<impl Iterator<Item = io::Result<Record>> + '_, String> {
     let file = File::open(input).map_err(|e| format!("open {}: {e}", input.display()))?;
     Ok(rio::RecordStream::new(BufReader::new(file)).map(|r| r.map_err(io::Error::other)))
-}
-
-fn run_loader(
-    input: &Path,
-    work_dir: &Path,
-    cfg: &BulkStoreConfig,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-) -> Result<BulkOutcome, String> {
-    std::fs::create_dir_all(work_dir)
-        .map_err(|e| format!("create work dir {}: {e}", work_dir.display()))?;
-    let mut loader = BulkLoader::new(cfg.external);
-    for key in &cfg.keys {
-        loader = loader.pass(key.clone(), cfg.window);
-    }
-    loader
-        .load_observed(input, work_dir, theory, observer)
-        .map_err(|e| format!("bulk load {}: {e}", input.display()))
-}
-
-/// Converts the loader's per-pass state into the snapshot's pass layout
-/// (field-for-field identical).
-fn to_pass_snapshots(outcome: &BulkOutcome) -> Vec<PassSnapshot> {
-    outcome
-        .passes
-        .iter()
-        .map(|p| PassSnapshot {
-            key_name: p.key_name.clone(),
-            window: p.window,
-            pairs_found: p.pairs_found,
-            pairs_first_found: p.pairs_first_found,
-            keys: p.keys.clone(),
-            order: p.order.clone(),
-        })
-        .collect()
 }
 
 /// Cold-loads the flat record file at `input` into the durable store at
@@ -145,33 +98,36 @@ pub fn bulk_load_store(
     }
     if cfg.shards == 0 || cfg.shards > 27 {
         return Err(format!(
-            "shards must be 1..=27 (got {}): routing bands by key first letter",
+            "shards must be 1..=27 (got {}): scan bands by key first letter",
             cfg.shards
         ));
     }
-    if cfg.shards <= 1 {
-        bulk_load_single(store_dir, input, work_dir, cfg, theory, observer)
-    } else {
-        bulk_load_sharded(store_dir, input, work_dir, cfg, theory, observer)
-    }
-}
-
-fn bulk_load_single(
-    store_dir: &Path,
-    input: &Path,
-    work_dir: &Path,
-    cfg: &BulkStoreConfig,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-) -> Result<Option<BulkStoreReport>, String> {
     let (mut store, loaded) = MatchStore::open(store_dir)
         .map_err(|e| format!("open store {}: {e}", store_dir.display()))?;
     if loaded.snapshot.is_some() || !loaded.replayable.is_empty() || store.next_seq() != 1 {
         return Ok(None);
     }
 
-    let outcome = run_loader(input, work_dir, cfg, theory, observer)?;
-    let passes = to_pass_snapshots(&outcome);
+    std::fs::create_dir_all(work_dir)
+        .map_err(|e| format!("create work dir {}: {e}", work_dir.display()))?;
+    let mut loader = BulkLoader::new(cfg.external);
+    for key in &cfg.keys {
+        loader = loader.pass(key.clone(), cfg.window);
+    }
+    let outcome = loader
+        .load_observed(input, work_dir, theory, observer)
+        .map_err(|e| format!("bulk load {}: {e}", input.display()))?;
+    let passes: Vec<PassSnapshot> = outcome
+        .passes
+        .into_iter()
+        .map(|p| PassSnapshot {
+            key_name: p.key_name,
+            window: p.window,
+            pairs_found: p.pairs_found,
+            pairs_first_found: p.pairs_first_found,
+            keys: p.keys,
+        })
+        .collect();
     let pairs = outcome.pairs.sorted();
     // Bulk loads carry no merge lineage: the external pipeline finds
     // pairs out of scan order, so there is no well-defined edge log.
@@ -181,7 +137,6 @@ fn bulk_load_single(
         n_records: outcome.records as u64,
         passes: &passes,
         pairs: &pairs,
-        closure: &outcome.closure,
         provenance: &provenance,
         comparisons: outcome.comparisons,
         batches_applied: 1,
@@ -192,107 +147,6 @@ fn bulk_load_single(
     let snapshot_bytes = store
         .write_snapshot_streamed(&state, record_stream(input)?)
         .map_err(|e| format!("commit snapshot: {e}"))?;
-
-    Ok(Some(BulkStoreReport {
-        records: outcome.records,
-        pairs: outcome.stats.pairs,
-        comparisons: outcome.comparisons,
-        snapshot_bytes,
-        io: outcome.stats.io,
-    }))
-}
-
-fn bulk_load_sharded(
-    store_dir: &Path,
-    input: &Path,
-    work_dir: &Path,
-    cfg: &BulkStoreConfig,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-) -> Result<Option<BulkStoreReport>, String> {
-    let (mut store, loaded) = ShardedStore::open(store_dir, cfg.shards)
-        .map_err(|e| format!("open sharded store {}: {e}", store_dir.display()))?;
-    if loaded.snapshot.is_some() || !loaded.replayable.is_empty() || loaded.next_seq != 1 {
-        return Ok(None);
-    }
-    // Close the recovered journal handles; the store stays quiescent
-    // until the daemon (or the next `serve`) reopens it.
-    drop(loaded);
-
-    let outcome = run_loader(input, work_dir, cfg, theory, observer)?;
-    let router = ShardRouter::new(
-        cfg.keys.first().cloned().expect("keys checked non-empty"),
-        cfg.shards,
-    );
-
-    let _scatter = span(observer, "bulk_scatter");
-    // Ownership sweep: one pass over the input assigns every record id
-    // its shard, so the per-shard sweeps below can filter by id alone.
-    let mut owner: Vec<u8> = Vec::with_capacity(outcome.records);
-    for rec in record_stream(input)? {
-        let rec = rec.map_err(|e| format!("read {}: {e}", input.display()))?;
-        owner.push(router.shard_of(&rec) as u8);
-    }
-    if owner.len() != outcome.records {
-        return Err(format!(
-            "input changed during load: sorted {} records, scatter saw {}",
-            outcome.records,
-            owner.len()
-        ));
-    }
-    // A pair is owned by the shard of its larger id, exactly as the
-    // daemon's checkpoint splits.
-    let pairs = outcome.pairs.sorted();
-    let mut shard_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); cfg.shards];
-    for &(a, b) in &pairs {
-        shard_pairs[owner[b as usize] as usize].push((a, b));
-    }
-
-    // Build and write one shard slice at a time: peak record residency
-    // is a single shard's owned records, not the whole database.
-    let mut snapshot_bytes = 0u64;
-    for (k, owned_pairs) in shard_pairs.iter_mut().enumerate() {
-        let mut records = Vec::new();
-        for (id, rec) in record_stream(input)?.enumerate() {
-            let rec = rec.map_err(|e| format!("read {}: {e}", input.display()))?;
-            if owner[id] as usize == k {
-                records.push(rec);
-            }
-        }
-        let passes = outcome
-            .passes
-            .iter()
-            .map(|p| ShardPassSlice {
-                key_name: p.key_name.clone(),
-                window: p.window,
-                pairs_found: p.pairs_found,
-                pairs_first_found: p.pairs_first_found,
-                keys: records
-                    .iter()
-                    .map(|r| p.keys[r.id.0 as usize].clone())
-                    .collect(),
-            })
-            .collect();
-        let slice = ShardSnapshot {
-            shard: k as u32,
-            shards: cfg.shards as u32,
-            comparisons: outcome.comparisons,
-            batches_applied: 1,
-            total_records: outcome.records as u64,
-            passes,
-            records,
-            pairs: std::mem::take(owned_pairs),
-            // No merge lineage for bulk loads (see `bulk_load_single`).
-            edges: Vec::new(),
-            batch_traces: Vec::new(),
-            rule_firings: Vec::new(),
-        };
-        snapshot_bytes += write_shard_snapshot(&store.shard_dir(k), 1, &slice.encode())
-            .map_err(|e| format!("write shard {k} snapshot: {e}"))?;
-    }
-    store
-        .commit_epoch(1)
-        .map_err(|e| format!("commit epoch 1: {e}"))?;
 
     Ok(Some(BulkStoreReport {
         records: outcome.records,

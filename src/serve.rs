@@ -6,8 +6,8 @@
 //! daemon: a server speaking a tiny length-prefixed JSON protocol over a
 //! Unix domain socket and (with `--listen`) TCP — both transports share
 //! the same framing and dispatch (see `docs/SERVING.md` for the wire
-//! format) — backed by [`merge_purge::incremental::DurableIncremental`],
-//! or, with `--shards N`, by the sharded coordinator in [`shard`].
+//! format) — backed by [`merge_purge::incremental::DurableIncremental`]
+//! over one durable store (`journal.mpj` + `snapshot.mps`).
 //!
 //! # Protocol
 //!
@@ -40,8 +40,8 @@
 //! * `stats` — replies with a deterministic `store` section (identical
 //!   across kill/restart for the same acknowledged batches), a
 //!   process-local `process` section, the `seq` watermark, live
-//!   `health`/`windows`/`tracing`/`quality` sections (reply schema 6),
-//!   and a per-shard `shards` section when the daemon runs sharded.
+//!   `health`/`windows`/`tracing`/`quality` sections (reply schema 7),
+//!   and a per-band `shards` section when the daemon scans in bands.
 //! * `metrics` — the Prometheus text exposition, embedded in a JSON
 //!   reply; also served raw over HTTP via `--metrics-addr`.
 //! * `trace` — the flight recorder's retained batch spans as one
@@ -59,11 +59,13 @@
 //! `SIGTERM`/`SIGINT` trigger the same graceful drain as the `shutdown`
 //! command.
 //!
-//! Sharding: `--shards N` partitions the durable store by key band into
-//! N shard workers, each owning its own journal + snapshot under
-//! `store/shard-k/`, with bounded per-shard queues, per-shard metrics
-//! (`shard="k"` labels), and a cross-shard reconciliation step that keeps
-//! the merged match set bit-identical to the single-worker engine.
+//! Bands: `--shards N` splits every window scan across N contiguous key
+//! bands on scoped threads, with per-band scan metrics (`shard="k"`
+//! labels) and a reconciliation fold that keeps the match set
+//! bit-identical to the serial scan. Bands are parallelism only: the
+//! store is the same for every N, so N may change between restarts. A
+//! store left in the retired sharded layout is converted on open (see
+//! `mp_store::legacy`).
 //!
 //! Observability: `--metrics-addr` serves `/metrics`, `/healthz`,
 //! `/readyz`, and `/trace` over HTTP; `--log` writes a leveled JSONL
@@ -98,7 +100,6 @@ pub mod eventlog;
 pub mod http;
 pub mod json;
 pub mod obs;
-pub mod shard;
 
 use eventlog::{EventLog, Level};
 use json::Json;
@@ -122,14 +123,14 @@ pub struct ServeConfig {
     pub window: usize,
     /// Pass keys, in order. Must match the store's snapshot when reopening.
     pub keys: Vec<KeySpec>,
-    /// Shard workers for the durable store (1 = single-worker layout;
-    /// fixed at store creation). Capped by the 27-bin key alphabet.
+    /// Key bands every window scan is split across (1 = serial scan).
+    /// Capped by the 27-bin key alphabet; free to change between runs.
     pub shards: usize,
     /// `host:port` to additionally serve the wire protocol over TCP
     /// (same framing as the Unix socket); `None` disables it.
     pub listen: Option<String>,
-    /// Bound of the ingest queue (and of each shard worker's queue); a
-    /// full queue blocks the sender (backpressure), never drops.
+    /// Bound of the ingest queue; a full queue blocks the sender
+    /// (backpressure), never drops.
     pub queue_depth: usize,
     /// Checkpoint automatically after this many ingested batches
     /// (0 = only on `snapshot`/`shutdown`).
@@ -288,101 +289,15 @@ fn ok_json(fields: Vec<(String, Json)>) -> String {
     Json::Obj(obj).to_string()
 }
 
-/// The durable state the engine worker drives: either the single-worker
-/// store or the sharded coordinator. Same observable behavior either
-/// way — the `store` stats section is bit-identical for the same
-/// acknowledged batches (the shard-equivalence tests pin this down).
-enum Backend {
-    Single(DurableIncremental),
-    Sharded(shard::ShardedDurable),
-}
-
-impl Backend {
-    fn engine(&self) -> &IncrementalMergePurge {
-        match self {
-            Backend::Single(d) => d.engine(),
-            Backend::Sharded(s) => s.engine(),
-        }
-    }
-
-    fn next_seq(&self) -> u64 {
-        match self {
-            Backend::Single(d) => d.store().next_seq(),
-            Backend::Sharded(s) => s.next_seq(),
-        }
-    }
-
-    fn batches_since_checkpoint(&self) -> u64 {
-        match self {
-            Backend::Single(d) => d.batches_since_checkpoint(),
-            Backend::Sharded(s) => s.batches_since_checkpoint(),
-        }
-    }
-
-    fn snapshot_meta(&self) -> Option<(u64, std::time::SystemTime)> {
-        match self {
-            Backend::Single(d) => d.store().snapshot_meta(),
-            Backend::Sharded(s) => s.snapshot_meta(),
-        }
-    }
-
-    /// Whether a partial shard append left this process unable to ingest
-    /// (always false for the single-worker backend).
-    fn poisoned(&self) -> bool {
-        match self {
-            Backend::Single(_) => false,
-            Backend::Sharded(s) => s.poisoned(),
-        }
-    }
-
-    fn ingest(
-        &mut self,
-        batch: Vec<Record>,
-        trace_id: &str,
-        theory: &dyn EquationalTheory,
-        recorder: &MetricsRecorder,
-        obs: &ObsState,
-    ) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d
-                .ingest(batch, Some(trace_id), theory, recorder)
-                .map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.ingest(batch, trace_id, theory, recorder, obs),
-        }
-    }
-
-    fn checkpoint(&mut self, recorder: &MetricsRecorder, obs: &ObsState) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d.checkpoint(recorder).map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.checkpoint(recorder, obs),
-        }
-    }
-
-    /// Installs a bulk-loaded state as the store's first batch (cold
-    /// stores only); see `DurableIncremental::bulk_restore` and its
-    /// sharded twin.
-    fn bulk_restore(
-        &mut self,
-        snap: mp_store::Snapshot,
-        recorder: &MetricsRecorder,
-        obs: &ObsState,
-    ) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d.bulk_restore(snap, recorder).map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.bulk_restore(snap, recorder, obs),
-        }
-    }
-}
-
 /// Writes a checkpoint and logs it: `checkpoint_written` with its
 /// `trigger`, or `checkpoint_failed`.
 fn logged_checkpoint(
-    backend: &mut Backend,
+    durable: &mut DurableIncremental,
     recorder: &MetricsRecorder,
     obs: &ObsState,
     trigger: &str,
 ) -> Result<u64, String> {
-    let result = backend.checkpoint(recorder, obs);
+    let result = durable.checkpoint(recorder).map_err(|e| e.to_string());
     match &result {
         Ok(bytes) => obs.event(
             Level::Info,
@@ -410,35 +325,23 @@ fn checkpoint_reply(result: Result<u64, String>, what: &str) -> String {
     }
 }
 
-/// After a failed write: a poisoned store (a partial shard append, so disk
-/// and memory may disagree on sequence alignment) stops taking traffic;
-/// recovery discards the partial scatter on restart.
-fn stop_if_poisoned(backend: &Backend, obs: &ObsState, e: &str) {
-    if backend.poisoned() {
-        eprintln!("mergepurge serve: store poisoned, shutting down: {e}");
-        obs.event(Level::Error, "store_poisoned", vec![]);
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-}
-
 /// The engine worker's `bulk-load` handler: runs the external-sort bulk
 /// pipeline over a daemon-local flat record file and installs the result
 /// as the (empty) store's first batch. Returns
 /// `(records, pairs, snapshot_bytes)`.
 fn bulk_ingest(
-    backend: &mut Backend,
+    durable: &mut DurableIncremental,
     input: &Path,
     config: &ServeConfig,
     theory: &dyn EquationalTheory,
     recorder: &MetricsRecorder,
-    obs: &ObsState,
 ) -> Result<(usize, u64, u64), String> {
-    if backend.engine().batches_applied() != 0 || !backend.engine().records().is_empty() {
+    if durable.engine().batches_applied() != 0 || !durable.engine().records().is_empty() {
         return Err(format!(
             "bulk-load requires an empty store (this one holds {} records from {} batches); \
              use ingest-batch for increments",
-            backend.engine().records().len(),
-            backend.engine().batches_applied()
+            durable.engine().records().len(),
+            durable.engine().batches_applied()
         ));
     }
     let mut loader = mp_extsort::BulkLoader::new(config.bulk);
@@ -479,17 +382,17 @@ fn bulk_ingest(
                 pairs_found: p.pairs_found,
                 pairs_first_found: p.pairs_first_found,
                 keys: p.keys,
-                order: p.order,
             })
             .collect(),
         pairs,
-        closure: outcome.closure,
         // Bulk loads carry no merge lineage (see `crate::bulk`).
         provenance: mp_closure::ProvenanceLog::new(),
         comparisons: outcome.comparisons,
         batches_applied: 1,
     };
-    let bytes = backend.bulk_restore(snap, recorder, obs)?;
+    let bytes = durable
+        .bulk_restore(snap, recorder)
+        .map_err(|e| e.to_string())?;
     recorder.add(Counter::BatchesIngested, 1);
     Ok((n_records, n_pairs, bytes))
 }
@@ -518,7 +421,7 @@ pub fn serve(
     let _serve_span = span(recorder, "serve");
     if config.shards == 0 || config.shards > 27 {
         return Err(format!(
-            "--shards must be 1..=27 (got {}): routing bands by key first letter",
+            "--shards must be 1..=27 (got {}): scan bands by key first letter",
             config.shards
         ));
     }
@@ -534,8 +437,7 @@ pub fn serve(
     };
     let obs = ObsState::new(config.queue_depth, log);
     if config.shards > 1 {
-        // Allocated before the store opens so `readyz` can report
-        // per-shard replay progress (503 until *every* shard finishes).
+        // One slot per scan band for the per-band latency histograms.
         obs.init_shards(config.shards);
     }
     obs.beat();
@@ -653,163 +555,73 @@ pub fn serve(
                     Err(e) => return Err(format!("bulk load {}: {e}", input.display())),
                 }
             }
-            let configure = |mut e: IncrementalMergePurge| {
+            let configure = |e: IncrementalMergePurge| {
+                let mut e = e.bands(config.shards);
                 for key in &config.keys {
                     e = e.pass(key.clone(), config.window);
                 }
                 e
             };
-            let mut backend = if config.shards <= 1 {
-                let (durable, recovery) =
-                    DurableIncremental::open(&config.store_dir, configure, theory, recorder)
-                        .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                if !config.quiet {
-                    eprintln!(
-                        "mergepurge serve: {} records, {} batches applied ({} replayed from journal{})",
-                        durable.engine().records().len(),
-                        durable.engine().batches_applied(),
-                        recovery.batches_replayed,
-                        if recovery.truncated_bytes > 0 {
-                            ", corrupt tail truncated"
-                        } else {
-                            ""
-                        },
-                    );
-                }
+            let (mut durable, recovery) =
+                DurableIncremental::open(&config.store_dir, configure, theory, recorder)
+                    .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
+            if !config.quiet {
+                eprintln!(
+                    "mergepurge serve: {} records, {} batches applied ({} replayed from journal{})",
+                    durable.engine().records().len(),
+                    durable.engine().batches_applied(),
+                    recovery.batches_replayed,
+                    if recovery.truncated_bytes > 0 {
+                        ", corrupt tail truncated"
+                    } else {
+                        ""
+                    },
+                );
+            }
+            obs.event(
+                Level::Info,
+                "journal_replayed",
+                vec![
+                    (
+                        "snapshot_loaded".into(),
+                        Json::Bool(recovery.snapshot_loaded),
+                    ),
+                    (
+                        "batches_in_snapshot".into(),
+                        Json::Num(recovery.batches_in_snapshot as f64),
+                    ),
+                    (
+                        "batches_replayed".into(),
+                        Json::Num(recovery.batches_replayed as f64),
+                    ),
+                ],
+            );
+            if recovery.truncated_bytes > 0 || recovery.truncation_reason.is_some() {
                 obs.event(
-                    Level::Info,
-                    "journal_replayed",
+                    Level::Warn,
+                    "corrupt_tail_truncated",
                     vec![
                         (
-                            "snapshot_loaded".into(),
-                            Json::Bool(recovery.snapshot_loaded),
+                            "truncated_bytes".into(),
+                            Json::Num(recovery.truncated_bytes as f64),
                         ),
                         (
-                            "batches_in_snapshot".into(),
-                            Json::Num(recovery.batches_in_snapshot as f64),
-                        ),
-                        (
-                            "batches_replayed".into(),
-                            Json::Num(recovery.batches_replayed as f64),
+                            "reason".into(),
+                            Json::Str(
+                                recovery
+                                    .truncation_reason
+                                    .clone()
+                                    .unwrap_or_else(|| "unknown".into()),
+                            ),
                         ),
                     ],
                 );
-                if recovery.truncated_bytes > 0 || recovery.truncation_reason.is_some() {
-                    obs.event(
-                        Level::Warn,
-                        "corrupt_tail_truncated",
-                        vec![
-                            (
-                                "truncated_bytes".into(),
-                                Json::Num(recovery.truncated_bytes as f64),
-                            ),
-                            (
-                                "reason".into(),
-                                Json::Str(
-                                    recovery
-                                        .truncation_reason
-                                        .clone()
-                                        .unwrap_or_else(|| "unknown".into()),
-                                ),
-                            ),
-                        ],
-                    );
-                }
-                Backend::Single(durable)
-            } else {
-                let first_key = config
-                    .keys
-                    .first()
-                    .cloned()
-                    .ok_or("at least one pass key is required")?;
-                let mut prep = shard::open_sharded(
-                    &config.store_dir,
-                    config.shards,
-                    configure,
-                    theory,
-                    recorder,
-                )
-                .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                if !config.quiet {
-                    eprintln!(
-                        "mergepurge serve: {} records across {} shards, {} batches applied ({} replayed from journal{})",
-                        prep.engine.records().len(),
-                        config.shards,
-                        prep.engine.batches_applied(),
-                        prep.batches_replayed,
-                        if prep.truncated_bytes > 0 {
-                            ", corrupt tail truncated"
-                        } else {
-                            ""
-                        },
-                    );
-                }
-                obs.event(
-                    Level::Info,
-                    "journal_replayed",
-                    vec![
-                        ("snapshot_loaded".into(), Json::Bool(prep.snapshot_loaded)),
-                        ("shards".into(), Json::Num(config.shards as f64)),
-                        (
-                            "batches_replayed".into(),
-                            Json::Num(prep.batches_replayed as f64),
-                        ),
-                    ],
-                );
-                if !prep.truncation_reasons.is_empty() {
-                    obs.event(
-                        Level::Warn,
-                        "corrupt_tail_truncated",
-                        vec![
-                            (
-                                "truncated_bytes".into(),
-                                Json::Num(prep.truncated_bytes as f64),
-                            ),
-                            (
-                                "reason".into(),
-                                Json::Str(prep.truncation_reasons.join("; ")),
-                            ),
-                        ],
-                    );
-                }
-                // Hand each shard its journal and mark it replayed; the
-                // readiness probe stays 503 until every shard flips.
-                let journals = std::mem::take(&mut prep.journals);
-                let mut senders = Vec::with_capacity(journals.len());
-                for (k, journal) in journals.into_iter().enumerate() {
-                    let (stx, srx) = mpsc::sync_channel::<shard::ShardMsg>(config.queue_depth);
-                    let shard_dir = prep.store.shard_dir(k);
-                    // Named so each worker keeps one stable lane in the
-                    // flight-recorder dump.
-                    std::thread::Builder::new()
-                        .name(format!("shard-{k}"))
-                        .spawn_scoped(scope, move || {
-                            shard::run_worker(k, journal, shard_dir, srx, obs, recorder)
-                        })
-                        .expect("spawn shard worker");
-                    obs.set_shard_journal_replays(k, prep.shard_replays[k]);
-                    obs.event(
-                        Level::Info,
-                        "shard_replayed",
-                        vec![
-                            ("shard".into(), Json::Num(k as f64)),
-                            (
-                                "journal_replays".into(),
-                                Json::Num(prep.shard_replays[k] as f64),
-                            ),
-                        ],
-                    );
-                    obs.set_shard_replay_complete(k);
-                    senders.push(stx);
-                }
-                let router = shard::ShardRouter::new(first_key, config.shards);
-                Backend::Sharded(shard::ShardedDurable::new(prep, router, senders))
-            };
+            }
             // Cached once: the theory's rule table is fixed for the
             // daemon's lifetime, and `explain` replies and the quality
             // stats name rules by id.
             let rule_names = theory.rule_names();
-            publish_gauges(&backend, obs, &rule_names);
+            publish_gauges(&durable, obs, &rule_names);
             obs.set_replay_complete();
             // Sweep the startup spans (load + journal replay) into their
             // own flight entry so the first batch's entry holds only its
@@ -913,9 +725,15 @@ pub fn serve(
                                 // records before the per-batch drain below.
                                 let msg = {
                                     let _batch_span = span_labeled(recorder, "batch", || {
-                                        format!("trace={trace_id} seq={}", backend.next_seq())
+                                        format!(
+                                            "trace={trace_id} seq={}",
+                                            durable.store().next_seq()
+                                        )
                                     });
-                                    match backend.ingest(batch, &trace_id, theory, recorder, obs) {
+                                    match durable
+                                        .ingest(batch, Some(&trace_id), theory, recorder)
+                                        .map_err(|e| e.to_string())
+                                    {
                                         Ok(seq) => {
                                             let dur_ns = started.elapsed().as_nanos() as u64;
                                             let matches = recorder
@@ -932,7 +750,7 @@ pub fn serve(
                                                 matches,
                                                 dur_ns,
                                             );
-                                            let mut fields = vec![
+                                            let fields = vec![
                                                 ("batch_seq".into(), Json::Num(seq as f64)),
                                                 ("trace_id".into(), Json::Str(trace_id.clone())),
                                                 ("records".into(), Json::Num(n as f64)),
@@ -940,7 +758,7 @@ pub fn serve(
                                                 (
                                                     "total_records".into(),
                                                     Json::Num(
-                                                        backend.engine().records().len() as f64
+                                                        durable.engine().records().len() as f64
                                                     ),
                                                 ),
                                                 (
@@ -948,20 +766,9 @@ pub fn serve(
                                                     Json::Num((dur_ns / 1_000_000) as f64),
                                                 ),
                                             ];
-                                            if let Backend::Sharded(s) = &backend {
-                                                fields.push((
-                                                    "shard_records".into(),
-                                                    Json::Arr(
-                                                        s.last_scatter()
-                                                            .iter()
-                                                            .map(|&c| Json::Num(c as f64))
-                                                            .collect(),
-                                                    ),
-                                                ));
-                                            }
                                             obs.event(Level::Info, "batch_ingested", fields);
                                             if let Some((ea, eb, size)) =
-                                                backend.engine().last_batch_largest_merge()
+                                                durable.engine().last_batch_largest_merge()
                                             {
                                                 let level = if large_cluster_threshold > 0
                                                     && size >= large_cluster_threshold
@@ -992,11 +799,11 @@ pub fn serve(
                                                 );
                                             }
                                             if snapshot_every > 0
-                                                && backend.batches_since_checkpoint()
+                                                && durable.batches_since_checkpoint()
                                                     >= snapshot_every
                                             {
                                                 if let Err(e) = logged_checkpoint(
-                                                    &mut backend,
+                                                    &mut durable,
                                                     recorder,
                                                     obs,
                                                     "snapshot-every",
@@ -1013,7 +820,7 @@ pub fn serve(
                                                 (
                                                     "total_records".into(),
                                                     Json::Num(
-                                                        backend.engine().records().len() as f64
+                                                        durable.engine().records().len() as f64
                                                     ),
                                                 ),
                                             ])
@@ -1030,16 +837,14 @@ pub fn serve(
                                                     ),
                                                 ],
                                             );
-                                            stop_if_poisoned(&backend, obs, &e);
                                             err_json(&format!("ingest failed: {e}"))
                                         }
                                     }
                                 };
                                 // All of the batch's spans are closed now
-                                // (band threads joined, shard workers acked
-                                // before their guards dropped, batch guard
-                                // dropped above): sweep them into one flight
-                                // entry and decompose the critical path.
+                                // (band threads joined, batch guard dropped
+                                // above): sweep them into one flight entry
+                                // and decompose the critical path.
                                 let total_ns = started.elapsed().as_nanos() as u64;
                                 let tracks = recorder.drain_spans();
                                 if !tracks.is_empty() {
@@ -1064,13 +869,13 @@ pub fn serve(
                                     }
                                     flight.record(
                                         trace_id.clone(),
-                                        last_seq(&backend),
+                                        last_seq(&durable),
                                         slow,
                                         tracks,
                                     );
                                 }
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
+                                publish_gauges(&durable, obs, &rule_names);
                                 let _ = reply.send(msg);
                             }
                             Job::BulkLoad(path, reply) => {
@@ -1080,14 +885,8 @@ pub fn serve(
                                     let _batch_span = span_labeled(recorder, "batch", || {
                                         format!("trace={trace_id} bulk-load")
                                     });
-                                    match bulk_ingest(
-                                        &mut backend,
-                                        &path,
-                                        config,
-                                        theory,
-                                        recorder,
-                                        obs,
-                                    ) {
+                                    match bulk_ingest(&mut durable, &path, config, theory, recorder)
+                                    {
                                         Ok((records, pairs, bytes)) => {
                                             obs.event(
                                                 Level::Info,
@@ -1118,7 +917,7 @@ pub fn serve(
                                             ok_json(vec![
                                                 (
                                                     "seq".into(),
-                                                    Json::Num(last_seq(&backend) as f64),
+                                                    Json::Num(last_seq(&durable) as f64),
                                                 ),
                                                 ("trace_id".into(), Json::Str(trace_id.clone())),
                                                 ("records".into(), Json::Num(records as f64)),
@@ -1127,7 +926,7 @@ pub fn serve(
                                                 (
                                                     "total_records".into(),
                                                     Json::Num(
-                                                        backend.engine().records().len() as f64
+                                                        durable.engine().records().len() as f64
                                                     ),
                                                 ),
                                             ])
@@ -1144,19 +943,18 @@ pub fn serve(
                                                     ),
                                                 ],
                                             );
-                                            stop_if_poisoned(&backend, obs, &e);
                                             err_json(&format!("bulk load failed: {e}"))
                                         }
                                     }
                                 };
                                 flight.record(
                                     trace_id.clone(),
-                                    last_seq(&backend),
+                                    last_seq(&durable),
                                     false,
                                     recorder.drain_spans(),
                                 );
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
+                                publish_gauges(&durable, obs, &rule_names);
                                 let _ = reply.send(msg);
                             }
                             Job::Query(id, reply) => {
@@ -1165,8 +963,8 @@ pub fn serve(
                                     "query_matches",
                                     vec![("id".into(), Json::Num(id as f64))],
                                 );
-                                let msg = if (id as usize) < backend.engine().records().len() {
-                                    let class = backend.engine().class_of(id);
+                                let msg = if (id as usize) < durable.engine().records().len() {
+                                    let class = durable.engine().class_of(id);
                                     ok_json(vec![
                                         ("id".into(), Json::Num(id as f64)),
                                         (
@@ -1178,12 +976,12 @@ pub fn serve(
                                                     .collect(),
                                             ),
                                         ),
-                                        ("seq".into(), Json::Num(last_seq(&backend) as f64)),
+                                        ("seq".into(), Json::Num(last_seq(&durable) as f64)),
                                     ])
                                 } else {
                                     err_json(&format!(
                                         "record id {id} out of range ({} records)",
-                                        backend.engine().records().len()
+                                        durable.engine().records().len()
                                     ))
                                 };
                                 let _ = reply.send(msg);
@@ -1197,13 +995,13 @@ pub fn serve(
                                         ("b".into(), Json::Num(b as f64)),
                                     ],
                                 );
-                                let n = backend.engine().records().len();
+                                let n = durable.engine().records().len();
                                 let msg = if (a as usize) >= n || (b as usize) >= n {
                                     err_json(&format!(
                                         "record id out of range ({n} records): a={a} b={b}"
                                     ))
                                 } else {
-                                    let chain = backend.engine().explain(a, b);
+                                    let chain = durable.engine().explain(a, b);
                                     let evidence = chain
                                         .as_deref()
                                         .unwrap_or(&[])
@@ -1234,7 +1032,7 @@ pub fn serve(
                                         ("b".into(), Json::Num(b as f64)),
                                         ("connected".into(), Json::Bool(chain.is_some())),
                                         ("chain".into(), Json::Arr(evidence)),
-                                        ("seq".into(), Json::Num(last_seq(&backend) as f64)),
+                                        ("seq".into(), Json::Num(last_seq(&durable) as f64)),
                                     ])
                                 };
                                 let _ = reply.send(msg);
@@ -1242,7 +1040,7 @@ pub fn serve(
                             Job::Stats(reply) => {
                                 obs.event(Level::Debug, "stats", vec![]);
                                 let _ = reply.send(stats_json(
-                                    &backend,
+                                    &durable,
                                     recorder,
                                     obs,
                                     flight,
@@ -1258,7 +1056,7 @@ pub fn serve(
                                     });
                                     checkpoint_reply(
                                         logged_checkpoint(
-                                            &mut backend,
+                                            &mut durable,
                                             recorder,
                                             obs,
                                             "snapshot-cmd",
@@ -1268,12 +1066,12 @@ pub fn serve(
                                 };
                                 flight.record(
                                     trace_id.clone(),
-                                    last_seq(&backend),
+                                    last_seq(&durable),
                                     false,
                                     recorder.drain_spans(),
                                 );
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
+                                publish_gauges(&durable, obs, &rule_names);
                                 let _ = reply.send(msg);
                             }
                             Job::Shutdown(reply) => {
@@ -1296,10 +1094,10 @@ pub fn serve(
                                     let _ = sender.send(err_json("shutting-down"));
                                 }
                                 let msg = checkpoint_reply(
-                                    logged_checkpoint(&mut backend, recorder, obs, "shutdown"),
+                                    logged_checkpoint(&mut durable, recorder, obs, "shutdown"),
                                     "final snapshot",
                                 );
-                                publish_gauges(&backend, obs, &rule_names);
+                                publish_gauges(&durable, obs, &rule_names);
                                 let _ = reply.send(msg);
                                 clean = true;
                                 break;
@@ -1310,7 +1108,7 @@ pub fn serve(
                         // Channel closed without an explicit shutdown job
                         // (signal path): still leave a snapshot behind.
                         obs.set_accepting(false);
-                        if let Err(e) = logged_checkpoint(&mut backend, recorder, obs, "signal") {
+                        if let Err(e) = logged_checkpoint(&mut durable, recorder, obs, "signal") {
                             eprintln!("mergepurge serve: final checkpoint failed: {e}");
                         }
                     }
@@ -1318,7 +1116,7 @@ pub fn serve(
                     // includes the shutdown checkpoint's spans.
                     flight.record(
                         mint_trace_id(),
-                        last_seq(&backend),
+                        last_seq(&durable),
                         false,
                         recorder.drain_spans(),
                     );
@@ -1403,8 +1201,8 @@ pub fn serve(
 /// The last acknowledged journal sequence number (0 before any batch):
 /// the watermark `stats` and `query-matches` replies carry so clients can
 /// correlate answers with journal position.
-fn last_seq(backend: &Backend) -> u64 {
-    backend.next_seq().saturating_sub(1)
+fn last_seq(durable: &DurableIncremental) -> u64 {
+    durable.store().next_seq().saturating_sub(1)
 }
 
 /// The theory's name for rule `id`, or `rule-<id>` past the name table.
@@ -1417,19 +1215,14 @@ fn rule_name(rule_names: &[String], id: u32) -> String {
 
 /// Copies the engine-owned gauges and the match-quality view into the
 /// shared observability state.
-fn publish_gauges(backend: &Backend, obs: &ObsState, rule_names: &[String]) {
+fn publish_gauges(durable: &DurableIncremental, obs: &ObsState, rule_names: &[String]) {
     obs.publish_engine(
-        backend.engine().records().len() as u64,
-        last_seq(backend),
-        backend.batches_since_checkpoint(),
-        backend.snapshot_meta(),
+        durable.engine().records().len() as u64,
+        last_seq(durable),
+        durable.batches_since_checkpoint(),
+        durable.store().snapshot_meta(),
     );
-    if let Backend::Sharded(s) = backend {
-        for (k, &n) in s.shard_records().iter().enumerate() {
-            obs.set_shard_records(k, n);
-        }
-    }
-    let engine = backend.engine();
+    let engine = durable.engine();
     let sizes = engine.cluster_sizes();
     let firings = &engine.provenance().rule_firings;
     obs.publish_quality(QualitySnapshot {
@@ -1617,27 +1410,28 @@ fn enqueue_and_wait(
         .unwrap_or_else(|_| err_json("shutting-down"))
 }
 
-/// The `stats` response (reply schema 6). The `store` object is
+/// The `stats` response (reply schema 7). The `store` object is
 /// **deterministic**: it is a pure function of the acknowledged batch
 /// sequence, so it compares equal across single-process, kill/restart,
-/// *and* single-vs-sharded runs (CI enforces this) — schemas 3 through 6
-/// only *add* sections around it. `seq` is the acknowledged-journal
-/// watermark; `process` is local to this daemon process; `health` and
-/// `windows` are live observability views; `tracing` (schema 5) reports
-/// the last minted trace id and the flight recorder's fill; `quality`
-/// (schema 6) reports the cluster-size distribution, the provenance
-/// edge count, and per-rule firings with rolling selectivity; `shards`
-/// (sharded daemons only) reports per-shard ownership, replay state,
-/// and scan-latency quantiles (see `docs/OBSERVABILITY.md`).
+/// *and* any `--shards` band count (CI enforces this) — schemas 3
+/// through 6 only *add* sections around it. `seq` is the
+/// acknowledged-journal watermark; `process` is local to this daemon
+/// process; `health` and `windows` are live observability views;
+/// `tracing` (schema 5) reports the last minted trace id and the flight
+/// recorder's fill; `quality` (schema 6) reports the cluster-size
+/// distribution, the provenance edge count, and per-rule firings with
+/// rolling selectivity; `shards` (banded daemons only; schema 7 cut it
+/// to the band index and scan-latency quantiles) reports per-band scan
+/// latency (see `docs/OBSERVABILITY.md`).
 fn stats_json(
-    backend: &Backend,
+    durable: &DurableIncremental,
     recorder: &MetricsRecorder,
     obs: &ObsState,
     flight: &FlightRecorder,
     last_trace_id: Option<&str>,
     rule_names: &[String],
 ) -> String {
-    let engine = backend.engine();
+    let engine = durable.engine();
     let passes = engine
         .pass_counters()
         .into_iter()
@@ -1686,7 +1480,7 @@ fn stats_json(
         ),
         (
             "batches_since_checkpoint".into(),
-            Json::Num(backend.batches_since_checkpoint() as f64),
+            Json::Num(durable.batches_since_checkpoint() as f64),
         ),
     ]);
     let tracing = Json::Obj(vec![
@@ -1747,8 +1541,8 @@ fn stats_json(
         ("selectivity_5m".into(), Json::Num(obs.selectivity(300))),
     ]);
     let mut reply = vec![
-        ("schema".into(), Json::Num(6.0)),
-        ("seq".into(), Json::Num(last_seq(backend) as f64)),
+        ("schema".into(), Json::Num(7.0)),
+        ("seq".into(), Json::Num(last_seq(durable) as f64)),
         ("store".into(), store),
         ("process".into(), process),
         ("health".into(), obs.health_json()),

@@ -3,13 +3,13 @@
 //! Prometheus exposition that surfaces all of it.
 //!
 //! One [`ObsState`] is shared (by reference, under the daemon's thread
-//! scope) between the engine worker (which records batch work and
-//! publishes engine gauges), connection threads (which count
-//! backpressure waits), shard workers (per-shard gauges, when running
-//! `--shards`), and the scrape paths — the `metrics`/`healthz`/`readyz`
-//! wire commands and the `--metrics-addr` HTTP listener. Everything is
-//! atomics; nothing on the serving path takes a lock (the event log has
-//! its own mutex and is only touched when `--log` is set).
+//! scope) between the engine worker (which records batch work, per-band
+//! scan latency when running `--shards`, and publishes engine gauges),
+//! connection threads (which count backpressure waits), and the scrape
+//! paths — the `metrics`/`healthz`/`readyz` wire commands and the
+//! `--metrics-addr` HTTP listener. Everything is atomics; nothing on
+//! the serving path takes a lock (the event log has its own mutex and is
+//! only touched when `--log` is set).
 //!
 //! `docs/OBSERVABILITY.md` documents every exported metric name, the
 //! window semantics, and the probe contracts.
@@ -30,24 +30,9 @@ use std::time::Instant;
 /// single enormous batch — see `docs/OBSERVABILITY.md`).
 pub const HEARTBEAT_STALE_SECS: u64 = 30;
 
-/// Per-shard observability: one slot per shard worker when the daemon
-/// runs with `--shards N` (N >= 2). All atomics; read by the scrape
-/// paths, written by the coordinator and shard workers.
-#[derive(Debug, Default)]
-pub struct ShardObs {
-    replay_complete: AtomicBool,
-    journal_replays: AtomicU64,
-    records: AtomicU64,
-    queue_depth: AtomicU64,
-    /// Cumulative per-shard window-scan latency (`shard_scan` span
-    /// durations, recorded from each batch's drained trace).
-    scan: LatencyHistogram,
-}
-
 /// Per-batch critical-path decomposition, extracted from the batch's
-/// drained spans: where did the wall-clock go — the slowest shard's
-/// window scan, the cross-shard reconcile fold, or the slowest shard
-/// journal fsync?
+/// drained spans: where did the wall-clock go — the slowest band's
+/// window scan, the band reconcile fold, or the journal fsync?
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Total `shard_scan` time per shard band, as `(shard, ns)`.
@@ -56,10 +41,9 @@ pub struct PhaseBreakdown {
     pub scan_max_ns: u64,
     /// The band that took `scan_max_ns`.
     pub slowest_shard: Option<usize>,
-    /// Total `closure_reconcile` time (the cross-shard fold).
+    /// Total `closure_reconcile` time (the band fold).
     pub reconcile_ns: u64,
-    /// The slowest shard worker's `shard_ingest` (journal append +
-    /// fsync) time.
+    /// The longest `journal_append` (journal write + fsync) time.
     pub journal_max_ns: u64,
     /// `1000 · max/mean` of the per-band scan times — the batch's shard
     /// imbalance as a milli-ratio (0 with fewer than two active bands).
@@ -75,8 +59,8 @@ fn label_shard(label: &str) -> Option<usize> {
 
 impl PhaseBreakdown {
     /// Decomposes one batch's drained tracks by span name: `shard_scan`
-    /// durations per band, `closure_reconcile` total, and the slowest
-    /// `shard_ingest` (the journal-fsync leg).
+    /// durations per band, `closure_reconcile` total, and the longest
+    /// `journal_append` (the journal-fsync leg).
     pub fn from_tracks(tracks: &[TrackSpans]) -> Self {
         let mut out = PhaseBreakdown::default();
         for t in tracks {
@@ -90,7 +74,7 @@ impl PhaseBreakdown {
                         }
                     }
                     "closure_reconcile" => out.reconcile_ns += s.dur_ns(),
-                    "shard_ingest" => out.journal_max_ns = out.journal_max_ns.max(s.dur_ns()),
+                    "journal_append" => out.journal_max_ns = out.journal_max_ns.max(s.dur_ns()),
                     _ => {}
                 }
             }
@@ -175,8 +159,8 @@ pub struct ObsState {
     /// Cumulative batch-ingest latency histogram (journal append +
     /// engine fold, per acknowledged batch).
     pub batch_latency: LatencyHistogram,
-    /// Cumulative cross-shard reconciliation latency
-    /// (`closure_reconcile` span durations; sharded daemons only).
+    /// Cumulative band reconciliation latency (`closure_reconcile` span
+    /// durations; banded daemons only).
     pub reconcile: LatencyHistogram,
     /// Rolling shard-imbalance ring: each batch's `max/mean` shard-scan
     /// ratio recorded as a milli-ratio "latency" sample, so the standard
@@ -189,9 +173,10 @@ pub struct ObsState {
     accepting: AtomicBool,
     heartbeat_ms: AtomicU64,
     backpressure_waits: AtomicU64,
-    /// Per-shard slots; empty until [`ObsState::init_shards`] runs
-    /// (single-worker daemons never initialise it).
-    shards: OnceLock<Vec<ShardObs>>,
+    /// Cumulative window-scan latency per band (`shard_scan` span
+    /// durations from each batch's drained trace); empty until
+    /// [`ObsState::init_shards`] runs (serial-scan daemons never do).
+    shards: OnceLock<Vec<LatencyHistogram>>,
     // Engine gauges, published by the worker after every job.
     records: AtomicU64,
     last_seq: AtomicU64,
@@ -287,20 +272,11 @@ impl ObsState {
 
     /// Readiness verdict: `Ok(())` when the daemon should receive
     /// traffic, `Err(reason)` otherwise. Ready means journal replay is
-    /// complete (on *every* shard when sharded), the daemon is accepting
-    /// (not shutting down), and the ingest queue is below its
-    /// high-watermark (capacity).
+    /// complete, the daemon is accepting (not shutting down), and the
+    /// ingest queue is below its high-watermark (capacity).
     pub fn readiness(&self) -> Result<(), &'static str> {
         if !self.replay_complete() {
             return Err("journal replay in progress");
-        }
-        if let Some(shards) = self.shards.get() {
-            if shards
-                .iter()
-                .any(|s| !s.replay_complete.load(Ordering::SeqCst))
-            {
-                return Err("shard journal replay in progress");
-            }
         }
         if !self.accepting.load(Ordering::SeqCst) {
             return Err("not accepting (starting up or shutting down)");
@@ -313,89 +289,20 @@ impl ObsState {
 
     // ---- shards ------------------------------------------------------
 
-    /// Allocates per-shard observability slots. Called once at startup
-    /// by sharded daemons, before journal replay begins; single-worker
-    /// daemons never call it.
+    /// Allocates per-band observability slots. Called once at startup
+    /// by banded daemons; serial-scan daemons skip it.
     pub fn init_shards(&self, n: usize) {
         let _ = self
             .shards
-            .set((0..n).map(|_| ShardObs::default()).collect());
+            .set((0..n).map(|_| LatencyHistogram::new()).collect());
     }
 
-    /// Number of shard slots (0 for single-worker daemons).
-    pub fn shard_count(&self) -> usize {
-        self.shards.get().map_or(0, Vec::len)
-    }
-
-    fn shard(&self, k: usize) -> Option<&ShardObs> {
+    fn shard(&self, k: usize) -> Option<&LatencyHistogram> {
         self.shards.get().and_then(|s| s.get(k))
     }
 
-    /// Marks shard `k`'s journal replay finished. Readiness requires
-    /// *all* shards to have replayed.
-    pub fn set_shard_replay_complete(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            s.replay_complete.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether shard `k` has finished replaying its journal.
-    pub fn shard_replay_complete(&self, k: usize) -> bool {
-        self.shard(k)
-            .is_some_and(|s| s.replay_complete.load(Ordering::SeqCst))
-    }
-
-    /// Publishes shard `k`'s replayed-frame count (non-empty journal
-    /// frames applied at startup).
-    pub fn set_shard_journal_replays(&self, k: usize, n: u64) {
-        if let Some(s) = self.shard(k) {
-            s.journal_replays.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Non-empty journal frames shard `k` replayed at startup.
-    pub fn shard_journal_replays(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.journal_replays.load(Ordering::Relaxed))
-    }
-
-    /// Publishes the number of records owned by shard `k`.
-    pub fn set_shard_records(&self, k: usize, n: u64) {
-        if let Some(s) = self.shard(k) {
-            s.records.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records owned by shard `k` (gauge copy).
-    pub fn shard_records(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.records.load(Ordering::Relaxed))
-    }
-
-    /// Notes a message enqueued for shard `k`'s worker.
-    pub fn shard_job_enqueued(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            s.queue_depth.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Notes a message dequeued by shard `k`'s worker.
-    pub fn shard_job_dequeued(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            let _ = s
-                .queue_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
-        }
-    }
-
-    /// Messages currently queued for shard `k`'s worker.
-    pub fn shard_queue_depth(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.queue_depth.load(Ordering::Relaxed))
-    }
-
     /// The `shards` section of the extended `stats` reply: one object
-    /// per shard, or `None` for single-worker daemons.
+    /// per scan band, or `None` for serial-scan daemons.
     pub fn shards_json(&self) -> Option<Json> {
         let shards = self.shards.get()?;
         Some(Json::Arr(
@@ -403,19 +310,6 @@ impl ObsState {
                 .map(|k| {
                     Json::Obj(vec![
                         ("shard".into(), Json::Num(k as f64)),
-                        ("records".into(), Json::Num(self.shard_records(k) as f64)),
-                        (
-                            "journal_replays".into(),
-                            Json::Num(self.shard_journal_replays(k) as f64),
-                        ),
-                        (
-                            "queue_depth".into(),
-                            Json::Num(self.shard_queue_depth(k) as f64),
-                        ),
-                        (
-                            "replay_complete".into(),
-                            Json::Bool(self.shard_replay_complete(k)),
-                        ),
                         (
                             "scan_p50_ns".into(),
                             Json::Num(self.shard_scan_quantile_ns(k, 0.50) as f64),
@@ -587,12 +481,12 @@ impl ObsState {
     }
 
     /// Feeds one batch's per-phase decomposition (from its drained
-    /// trace) into the per-shard scan histograms, the reconcile
+    /// trace) into the per-band scan histograms, the reconcile
     /// histogram, and the rolling imbalance ring.
     pub fn record_batch_phases(&self, phases: &PhaseBreakdown) {
         for &(k, ns) in &phases.scan_ns {
-            if let Some(s) = self.shard(k) {
-                s.scan.record(ns);
+            if let Some(scan) = self.shard(k) {
+                scan.record(ns);
             }
         }
         if phases.reconcile_ns > 0 {
@@ -607,7 +501,7 @@ impl ObsState {
     /// Shard `k`'s cumulative scan-latency quantile in nanoseconds
     /// (0 when no scans recorded).
     pub fn shard_scan_quantile_ns(&self, k: usize, q: f64) -> u64 {
-        self.shard(k).map_or(0, |s| s.scan.quantile_ns(q))
+        self.shard(k).map_or(0, |scan| scan.quantile_ns(q))
     }
 
     /// Mean shard-imbalance ratio (`max/mean` scan time per batch) over
@@ -654,13 +548,6 @@ impl ObsState {
                 Json::Num(self.queue_capacity as f64),
             ),
         ];
-        if let Some(shards) = self.shards.get() {
-            let replayed = (0..shards.len())
-                .filter(|&k| self.shard_replay_complete(k))
-                .count();
-            obj.push(("shards".into(), Json::Num(shards.len() as f64)));
-            obj.push(("shards_replayed".into(), Json::Num(replayed as f64)));
-        }
         if let Err(reason) = verdict {
             obj.push(("reason".into(), Json::Str(reason.to_string())));
         }
@@ -876,60 +763,6 @@ impl ObsState {
 
         if let Some(shards) = self.shards.get() {
             let labels: Vec<String> = (0..shards.len()).map(|k| k.to_string()).collect();
-            let replays: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| (vec![("shard", l.as_str())], self.shard_journal_replays(k)))
-                .collect();
-            w.counter_family(
-                "mergepurge_shard_journal_replays_total",
-                "Non-empty journal frames each shard replayed at startup.",
-                &replays,
-            );
-            let records: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| (vec![("shard", l.as_str())], self.shard_records(k) as f64))
-                .collect();
-            w.gauge_family(
-                "mergepurge_shard_records",
-                "Records owned by each shard.",
-                &records,
-            );
-            let depths: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| {
-                    (
-                        vec![("shard", l.as_str())],
-                        self.shard_queue_depth(k) as f64,
-                    )
-                })
-                .collect();
-            w.gauge_family(
-                "mergepurge_shard_queue_depth",
-                "Messages queued for each shard worker.",
-                &depths,
-            );
-            let ready: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| {
-                    (
-                        vec![("shard", l.as_str())],
-                        if self.shard_replay_complete(k) {
-                            1.0
-                        } else {
-                            0.0
-                        },
-                    )
-                })
-                .collect();
-            w.gauge_family(
-                "mergepurge_shard_ready",
-                "1 when the shard has finished journal replay.",
-                &ready,
-            );
             let quantile_labels = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
             let mut scan_samples = Vec::new();
             for (k, l) in labels.iter().enumerate() {
@@ -942,7 +775,7 @@ impl ObsState {
             }
             w.gauge_family(
                 "mergepurge_shard_scan_seconds",
-                "Cumulative per-shard window-scan latency quantiles (from batch traces).",
+                "Cumulative per-band window-scan latency quantiles (from batch traces).",
                 &scan_samples,
             );
             let imbalance_samples: Vec<_> = WINDOWS
@@ -951,12 +784,12 @@ impl ObsState {
                 .collect();
             w.gauge_family(
                 "mergepurge_shard_imbalance_ratio",
-                "Mean max/mean shard-scan time ratio per batch over the rolling window.",
+                "Mean max/mean band-scan time ratio per batch over the rolling window.",
                 &imbalance_samples,
             );
             w.histogram_ns(
                 "mergepurge_reconcile_seconds",
-                "Cross-shard reconciliation (closure_reconcile) latency per batch.",
+                "Band reconciliation (closure_reconcile) latency per batch.",
                 &self.reconcile.snapshot(),
             );
         }
@@ -1041,74 +874,43 @@ mod tests {
     }
 
     #[test]
-    fn readiness_requires_every_shard_to_finish_replay() {
-        let obs = ObsState::new(4, None);
-        obs.init_shards(4);
-        obs.set_replay_complete();
-        obs.set_accepting(true);
-        for k in 0..3 {
-            obs.set_shard_replay_complete(k);
-        }
-        assert_eq!(
-            obs.readiness(),
-            Err("shard journal replay in progress"),
-            "3 of 4 shards replayed is not ready"
-        );
-        obs.set_shard_replay_complete(3);
-        assert!(obs.readiness().is_ok(), "all shards replayed is ready");
-        let ready = obs.readyz_json();
-        assert!(
-            ready.contains("\"shards\":4"),
-            "readyz shard count: {ready}"
-        );
-        assert!(ready.contains("\"shards_replayed\":4"));
-    }
-
-    #[test]
-    fn shard_slots_track_replays_records_and_queue_depth() {
-        let obs = ObsState::new(4, None);
-        obs.init_shards(2);
-        assert_eq!(obs.shard_count(), 2);
-        obs.set_shard_journal_replays(1, 7);
-        obs.set_shard_records(0, 40);
-        obs.shard_job_enqueued(0);
-        obs.shard_job_enqueued(0);
-        obs.shard_job_dequeued(0);
-        obs.shard_job_dequeued(1); // saturates at zero
-        assert_eq!(obs.shard_journal_replays(1), 7);
-        assert_eq!(obs.shard_records(0), 40);
-        assert_eq!(obs.shard_queue_depth(0), 1);
-        assert_eq!(obs.shard_queue_depth(1), 0);
-        let shards = obs.shards_json().expect("shards configured");
-        let arr = shards.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(
-            arr[1].get("journal_replays").and_then(Json::as_u64),
-            Some(7)
-        );
-        assert_eq!(arr[0].get("records").and_then(Json::as_u64), Some(40));
-        assert_eq!(arr[0].get("queue_depth").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            ObsState::new(4, None).shards_json(),
-            None,
-            "single-worker daemons have no shards section"
-        );
-    }
-
-    #[test]
     fn exposition_labels_shard_families_by_shard_number() {
         let recorder = MetricsRecorder::new();
         let obs = ObsState::new(4, None);
         obs.init_shards(3);
-        obs.set_shard_journal_replays(2, 5);
-        obs.set_shard_records(1, 11);
-        obs.set_shard_replay_complete(0);
+        obs.record_batch_phases(&PhaseBreakdown {
+            scan_ns: vec![(2, 5_000_000)],
+            ..PhaseBreakdown::default()
+        });
         let text = obs.exposition(&recorder);
-        assert!(text.contains("mergepurge_shard_journal_replays_total{shard=\"2\"} 5\n"));
-        assert!(text.contains("mergepurge_shard_records{shard=\"1\"} 11\n"));
-        assert!(text.contains("mergepurge_shard_ready{shard=\"0\"} 1\n"));
-        assert!(text.contains("mergepurge_shard_ready{shard=\"1\"} 0\n"));
-        assert!(text.contains("mergepurge_shard_queue_depth{shard=\"0\"} 0\n"));
+        assert!(
+            text.contains("mergepurge_shard_scan_seconds{shard=\"2\",quantile=\"0.5\"} 0.005\n"),
+            "{text}"
+        );
+        assert!(text.contains("mergepurge_shard_scan_seconds{shard=\"0\",quantile=\"0.5\"} 0\n"));
+        // Bands own no records, journals, or queues: none of the retired
+        // per-shard worker families is exported.
+        for gone in [
+            "mergepurge_shard_journal_replays_total",
+            "mergepurge_shard_records",
+            "mergepurge_shard_queue_depth",
+            "mergepurge_shard_ready",
+        ] {
+            assert!(!text.contains(gone), "{gone} is still exported");
+        }
+        let shards = obs.shards_json().expect("bands configured");
+        let arr = shards.as_array().unwrap();
+        assert_eq!(arr.len(), 3);
+        assert_eq!(
+            arr[2].get("scan_p50_ns").and_then(Json::as_u64),
+            Some(5_000_000)
+        );
+        assert_eq!(arr[2].get("records"), None);
+        assert_eq!(
+            ObsState::new(4, None).shards_json(),
+            None,
+            "serial-scan daemons have no shards section"
+        );
     }
 
     #[test]
@@ -1180,10 +982,7 @@ mod tests {
                 ],
             ),
             track(1, vec![span("shard_scan", Some("shard=1"), 100, 1_000)]),
-            track(
-                2,
-                vec![span("shard_ingest", Some("shard=1 seq=1"), 50, 2_200)],
-            ),
+            track(2, vec![span("journal_append", None, 50, 2_200)]),
         ];
         let bd = PhaseBreakdown::from_tracks(&tracks);
         assert_eq!(bd.scan_ns, vec![(0, 3_000), (1, 1_000)]);

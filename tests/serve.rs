@@ -7,7 +7,6 @@
 #![cfg(unix)]
 
 use merge_purge::{IncrementalMergePurge, KeySpec};
-use merge_purge_repro::serve::shard::ShardRouter;
 use merge_purge_repro::serve::{ingest_request, json::Json, request, request_tcp};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_record::Record;
@@ -373,11 +372,11 @@ fn metrics_probes_windows_and_event_log_work_end_to_end() {
         .expect("exposition text");
     assert!(exposition.contains("mergepurge_records_keyed_total"));
 
-    // Schema-6 stats: seq watermark, health, and windows that reflect
+    // Schema-7 stats: seq watermark, health, and windows that reflect
     // the batches just ingested (1m window, well inside resolution).
     let stats = ask(&socket, r#"{"cmd":"stats"}"#);
     expect_ok(&stats);
-    assert_eq!(stats.get("schema").and_then(Json::as_u64), Some(6));
+    assert_eq!(stats.get("schema").and_then(Json::as_u64), Some(7));
     assert_eq!(stats.get("seq").and_then(Json::as_u64), Some(2));
     let windows = stats
         .get("windows")
@@ -540,7 +539,7 @@ fn event_log_rotates_and_top_renders() {
 /// the `batch_ingested` event-log line, the flight-recorder span dump
 /// (wire `trace` command, HTTP `/trace`, and the `mergepurge trace`
 /// client), and the `stats` tracing section — on a live `--shards 4`
-/// daemon whose dump shows one lane per shard worker.
+/// daemon whose dump shows one lane per scan band.
 #[test]
 fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     let dir = tmp_dir("tracing");
@@ -583,7 +582,7 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     // recorder retains one entry per batch (plus the startup sweep).
     let stats = ask(&socket, r#"{"cmd":"stats"}"#);
     expect_ok(&stats);
-    let tracing = stats.get("tracing").expect("schema-6 tracing section");
+    let tracing = stats.get("tracing").expect("tracing section");
     assert_eq!(
         tracing.get("last_trace_id").and_then(Json::as_str),
         Some(acked_ids.last().unwrap().as_str()),
@@ -599,7 +598,7 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     );
 
     // Wire `trace` command: a Chrome trace document containing every
-    // acked trace id and one named lane per shard worker.
+    // acked trace id and one named lane per scan band.
     let wire = ask(&socket, r#"{"cmd":"trace"}"#);
     expect_ok(&wire);
     assert_eq!(
@@ -618,10 +617,10 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     for id in &acked_ids {
         assert!(dump.contains(id.as_str()), "dump misses trace id {id}");
     }
-    for lane in ["shard-0", "shard-1", "shard-2", "shard-3", "engine"] {
+    for lane in ["band-0", "band-1", "band-2", "band-3", "engine"] {
         assert!(dump.contains(lane), "dump misses worker lane {lane}");
     }
-    for span in ["batch", "shard_ingest", "shard_scan", "closure_reconcile"] {
+    for span in ["batch", "journal_append", "shard_scan", "closure_reconcile"] {
         assert!(dump.contains(span), "dump misses span {span}");
     }
 
@@ -660,7 +659,7 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     assert_eq!(text.lines().count(), 1, "one frame per line: {text}");
     assert!(!text.contains('\u{1b}'), "no ANSI codes in --json output");
     let frame = Json::parse(text.trim()).expect("top --json frame is JSON");
-    assert_eq!(frame.get("schema").and_then(Json::as_u64), Some(6));
+    assert_eq!(frame.get("schema").and_then(Json::as_u64), Some(7));
     assert_eq!(
         frame.get("seq").and_then(Json::as_u64),
         Some(parts.len() as u64)
@@ -708,7 +707,7 @@ fn slow_batches_are_pinned_and_logged_with_phase_breakdown() {
     let socket = dir.join("mp.sock");
     let store = dir.join("store");
     let log = dir.join("events.jsonl");
-    // One big batch through a 4-shard scatter + journal fsync takes well
+    // One big batch through a journal fsync and a 4-band scan takes well
     // over 1ms on any real machine.
     let big = batches(2727, 2000, 1).remove(0);
 
@@ -818,7 +817,7 @@ fn log_keep_three_retains_three_generations() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---- sharding --------------------------------------------------------
+// ---- scan bands ------------------------------------------------------
 
 /// How a hammer client reaches the daemon: Unix socket or TCP, sharing
 /// the same length-prefixed JSON framing.
@@ -854,7 +853,7 @@ impl Transport {
 /// watermark must be monotone, and the final deterministic store section
 /// must be byte-identical to a serial single-worker daemon fed the same
 /// batches in acked-seq order.
-fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
+fn hammer_banded_daemon(name: &str, use_tcp: bool) {
     let dir = tmp_dir(name);
     let socket = dir.join("mp.sock");
     let store = dir.join("store");
@@ -917,27 +916,23 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
     let want: Vec<u64> = (1..=(CLIENTS * BATCHES_PER_CLIENT) as u64).collect();
     assert_eq!(got, want, "every batch acked exactly once, gap-free");
 
-    // Schema-6 stats carry a per-shard section; records are spread over
-    // all four shards and sum to the engine total.
+    // Schema-7 stats carry a per-band section with scan-latency
+    // quantiles.
     let stats = transport.ask(r#"{"cmd":"stats"}"#);
     expect_ok(&stats);
     let shard_stats = stats
         .get("shards")
         .and_then(Json::as_array)
-        .expect("schema-6 shards section");
+        .expect("per-band shards section");
     assert_eq!(shard_stats.len(), 4);
-    let per_shard: u64 = shard_stats
-        .iter()
-        .map(|s| s.get("records").and_then(Json::as_u64).unwrap())
-        .sum();
-    let engine_records = stats
-        .get("store")
-        .and_then(|s| s.get("records"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert_eq!(per_shard, engine_records, "shard records sum to the total");
+    for s in shard_stats {
+        assert!(
+            s.get("scan_p99_ns").and_then(Json::as_u64).is_some(),
+            "{stats}"
+        );
+    }
 
-    let sharded_section = stats.get("store").unwrap().clone();
+    let banded_section = stats.get("store").unwrap().clone();
     shutdown_and_wait(&socket, &mut child);
 
     // Golden: a single-worker daemon fed the reconstructed batch stream
@@ -949,8 +944,8 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
     }
     assert_eq!(
         store_section(&golden_socket).to_string(),
-        sharded_section.to_string(),
-        "sharded daemon matches the serial single-worker engine byte for byte"
+        banded_section.to_string(),
+        "banded daemon matches the serial daemon byte for byte"
     );
     shutdown_and_wait(&golden_socket, &mut child);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -958,39 +953,28 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
 
 #[test]
 fn hammer_24_clients_over_unix_socket_matches_serial_golden() {
-    hammer_sharded_daemon("hammer-unix", false);
+    hammer_banded_daemon("hammer-unix", false);
 }
 
 #[test]
 fn hammer_24_clients_over_tcp_matches_serial_golden() {
-    hammer_sharded_daemon("hammer-tcp", true);
+    hammer_banded_daemon("hammer-tcp", true);
 }
 
+/// A `--shards 4` daemon killed with SIGKILL replays its journal to the
+/// uninterrupted daemon's store section, and because bands are scan
+/// parallelism only, restarting the same store with a different band
+/// count gives the same answers.
 #[test]
-fn sigkill_sharded_daemon_replays_only_the_written_shard() {
-    let dir = tmp_dir("kill9-shard");
+fn sigkill_banded_daemon_replays_under_any_band_count() {
+    let dir = tmp_dir("kill9-bands");
     let socket = dir.join("mp.sock");
     let store = dir.join("store");
+    let parts = batches(6161, 600, 2);
+    let four = ["--shards", "4"];
 
-    // Craft batches that land entirely in one shard by routing every
-    // generated record through the daemon's own router (first key, 4
-    // shards) and keeping one shard's records.
-    let router = ShardRouter::new(KeySpec::last_name_key(), 4);
-    let all: Vec<Record> = batches(6161, 600, 1).remove(0);
-    let target = router.shard_of(&all[0]);
-    let owned: Vec<Record> = all
-        .iter()
-        .filter(|r| router.shard_of(r) == target)
-        .cloned()
-        .collect();
-    assert!(owned.len() >= 40, "single-shard records: {}", owned.len());
-    let chunk = owned.len().div_ceil(2);
-    let parts: Vec<Vec<Record>> = owned.chunks(chunk).map(<[Record]>::to_vec).collect();
-    let shards_flag = ["--shards", "4"];
-
-    // Golden: the same batches in one uninterrupted sharded daemon.
-    let golden_store = dir.join("store-golden");
-    let mut child = spawn_daemon_with(&socket, &golden_store, &shards_flag, false);
+    // Golden: the same batches in one uninterrupted banded daemon.
+    let mut child = spawn_daemon_with(&socket, &dir.join("store-golden"), &four, false);
     for part in &parts {
         expect_ok(&ask(&socket, &ingest_request(part)));
     }
@@ -998,37 +982,20 @@ fn sigkill_sharded_daemon_replays_only_the_written_shard() {
     shutdown_and_wait(&socket, &mut child);
 
     // Crash run: both batches acked, then SIGKILL — the store holds only
-    // the per-shard journals, no snapshot.
-    let mut child = spawn_daemon_with(&socket, &store, &shards_flag, false);
+    // the journal, no snapshot.
+    let mut child = spawn_daemon_with(&socket, &store, &four, false);
     for part in &parts {
         expect_ok(&ask(&socket, &ingest_request(part)));
     }
     child.kill().expect("SIGKILL the daemon");
     child.wait().unwrap();
     let _ = std::fs::remove_file(&socket);
+    assert!(!store.join("snapshot.mps").exists());
 
-    // Restart: only the owning shard replays non-empty frames; the other
-    // shards' journals hold the seq-aligning empty frames.
-    let mut child = spawn_daemon_with(&socket, &store, &shards_flag, false);
+    // Restart serially: both batches replay, to the golden section.
+    let mut child = spawn_daemon_with(&socket, &store, &["--shards", "1"], false);
     let stats = ask(&socket, r#"{"cmd":"stats"}"#);
     expect_ok(&stats);
-    let shard_stats = stats
-        .get("shards")
-        .and_then(Json::as_array)
-        .expect("shards section");
-    assert_eq!(shard_stats.len(), 4);
-    for s in shard_stats {
-        let k = s.get("shard").and_then(Json::as_u64).unwrap() as usize;
-        let replays = s.get("journal_replays").and_then(Json::as_u64).unwrap();
-        let expected = if k == target { 2 } else { 0 };
-        assert_eq!(replays, expected, "shard {k} replay count: {stats}");
-        assert_eq!(
-            s.get("replay_complete").and_then(Json::as_bool),
-            Some(true),
-            "shard {k} finished replay"
-        );
-    }
-    // The global replay counter still counts whole batches.
     assert_eq!(
         stats
             .get("process")
@@ -1036,20 +1003,23 @@ fn sigkill_sharded_daemon_replays_only_the_written_shard() {
             .and_then(Json::as_u64),
         Some(2)
     );
-    // readyz rolls up per-shard replay once every shard has finished.
+    assert!(stats.get("shards").is_none(), "a serial scan has no bands");
     let ready = ask(&socket, r#"{"cmd":"readyz"}"#);
     expect_ok(&ready);
-    assert_eq!(ready.get("shards").and_then(Json::as_u64), Some(4));
-    assert_eq!(ready.get("shards_replayed").and_then(Json::as_u64), Some(4));
-    // Cross-shard fingerprint identical to the uninterrupted golden.
+    assert_eq!(ready.get("shards_replayed"), None, "no per-shard replay");
     assert_eq!(store_section(&socket), want, "replay matches golden");
+    shutdown_and_wait(&socket, &mut child);
+
+    // And back to four bands over the checkpoint the shutdown wrote.
+    let mut child = spawn_daemon_with(&socket, &store, &four, false);
+    assert_eq!(store_section(&socket), want, "band count is not state");
     shutdown_and_wait(&socket, &mut child);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---- decision provenance --------------------------------------------
 
-/// The `explain` wire command against a live 4-shard TCP daemon must
+/// The `explain` wire command against a live 4-band TCP daemon must
 /// return the exact evidence chain the serial in-process engine derives
 /// on the same data — rule id, pass, batch seq, and the acked trace ids
 /// — and the `mergepurge explain --addr` client must render it.
